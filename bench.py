@@ -19,6 +19,7 @@ north rule's N vs 4N cluster sizes (BASELINE.md).
 from __future__ import annotations
 
 import glob
+import inspect
 import json
 import os
 import shutil
@@ -71,6 +72,7 @@ def run_bench() -> dict:
         build,
         queries as Q,
         query,
+        serve,
     )
     from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.sources import (
         pages,
@@ -106,10 +108,14 @@ def run_bench() -> dict:
     out["index_build"] = round(t_build, 3)
 
     # ---- BM25 query latency over the fixed query set (serving config:
-    # the same decoded-postings cache the serve actors run with, so p50
-    # reflects steady-state query serving; rep 1 pays the cold decode
-    # and lands in the upper half of the latency distribution)
-    reader = query.IndexReader(idx_dir, cache_postings_budget=20_000_000)
+    # the shard actors' default decoded-postings budget, read from their
+    # signature so the two cannot drift, so p50 reflects steady-state
+    # query serving; rep 1 pays the cold decode and lands in the upper
+    # half of the latency distribution)
+    budget = inspect.signature(
+        serve.QueryShardActor.__ray_metadata__.modified_class.__init__
+    ).parameters["cache_postings_budget"].default
+    reader = query.IndexReader(idx_dir, cache_postings_budget=budget)
     lats = []
     t0 = time.time()
     reps = 1 if os.environ.get("GRAFT_BENCH_HEADLINE_ONLY") else 3

@@ -226,16 +226,21 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 hits = r.search(args.query, args.k, args.mode,
                                 exclude=args.exclude)
+            docs = {}
+            if args.snippets:
+                # one batched lookup for every hit: the manifest and the
+                # tombstone parquets are read once, not once per hit
+                from .functions.snippet import make_snippet
+                from .pipelines.query import fetch_docs
+                docs = fetch_docs(args.index, [h.doc_id for h in hits],
+                                  columns=["text"])
             for rank, h in enumerate(hits, 1):
                 row = {"rank": rank, "doc_id": h.doc_id,
                        "score": round(h.score, 6)}
-                if args.snippets:
-                    from .functions.snippet import make_snippet
-                    from .pipelines.query import fetch_doc
-                    doc = fetch_doc(args.index, h.doc_id)
-                    if doc is not None:
-                        row.update(make_snippet(doc.get("text", ""),
-                                                args.query))
+                doc = docs.get(h.doc_id)
+                if doc is not None:
+                    row.update(make_snippet(doc.get("text", ""),
+                                            args.query))
                 print(json.dumps(row))
         elif args.cmd == "serve-demo":
             from .pipelines.serve import DistributedSearcher

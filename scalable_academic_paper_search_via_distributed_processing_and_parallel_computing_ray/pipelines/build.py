@@ -1025,7 +1025,7 @@ def extend_index(pages_path: str | list[str], index_dir: str,
     shard_map = {base + i: files for i, files in enumerate(new_shards)}
     if params.doc_id_mode == "sharded":
         ledger = set(fragments.load_ledger(index_dir))
-        dup = [f for f in paths if f in ledger]
+        dup = [f for f in paths if fragments.canon(f) in ledger]
         if dup:
             raise ValueError(
                 f"{len(dup)} input files already indexed (e.g. {dup[0]}) — "

@@ -33,6 +33,7 @@ head-term skew never concentrates in one list (SURVEY.md §4.3.1).
 from __future__ import annotations
 
 import os
+import threading as _threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,27 +61,6 @@ from ..state.termdict import TermDict
 # tied block's ub exceed theta and forces its decode — a 1e-5 margin
 # cost 12x on dense queries over the x256 bench corpus.
 _I64MAX = np.iinfo(np.int64).max
-
-# persistent per-shard fan-out pool for fetch_docs: creating a
-# ThreadPoolExecutor costs ~4 ms per call — more than the concurrent
-# reads save — so the pool is lazy module state.  Distinct from
-# state/docstore.py's reader pool (its lookups run INSIDE these tasks;
-# two pools -> no nested-submit deadlock).
-import threading as _threading
-
-_FETCH_POOL = None
-_FETCH_POOL_LOCK = _threading.Lock()
-
-
-def _fetch_pool():
-    global _FETCH_POOL
-    if _FETCH_POOL is None:
-        with _FETCH_POOL_LOCK:
-            if _FETCH_POOL is None:
-                from concurrent.futures import ThreadPoolExecutor
-                _FETCH_POOL = ThreadPoolExecutor(
-                    8, thread_name_prefix="fetch-shard")
-    return _FETCH_POOL
 
 
 def split_not_terms(query_text: str) -> tuple[str, str]:
@@ -137,8 +117,9 @@ def fetch_docs(index_dir: str, doc_ids, *, manifest: dict | None = None,
 
     Fast path: each shard's doc-store sidecar (``state/docstore.py``)
     resolves ids to exact (file, row group, row) in O(k) pruned reads —
-    a lookup never scans a shard.  Missing/stale sidecars fall back to
-    the filtered scan below.  ``columns`` prunes the doc payload read
+    a lookup never scans a shard — and hot rows come from the doc store's
+    in-process cache.  Tombstoned ids are dropped before it is consulted.
+    Missing/stale sidecars fall back to the filtered scan below.  ``columns`` prunes the doc payload read
     (``doc_id`` is always included — the result is keyed on it)."""
     ids = sorted({int(i) for i in doc_ids})
     if not ids:
@@ -157,28 +138,19 @@ def fetch_docs(index_dir: str, doc_ids, *, manifest: dict | None = None,
             return {}
     if columns is not None and "doc_id" not in columns:
         columns = ["doc_id", *columns]
+    from ..state import docstore
     out: dict[int, dict] = {}
     remaining = set(ids)
     n_shards = int(manifest["n_shards"])
     if manifest.get("docs_idx"):
-        # sidecar fast path, shards probed concurrently (the pruned
-        # reads release the GIL); None from any shard = missing/stale
-        # sidecar -> whole-call fallback to the scan (the sidecar is an
+        # sidecar fast path; None = a missing/stale sidecar in some shard
+        # -> whole-call fallback to the scan (the sidecar is an
         # accelerator, not a correctness dependency)
-        from ..state import docstore
-        wanted = sorted(remaining)
-        results = list(_fetch_pool().map(
-            lambda i: docstore.lookup_shard_docs(
-                ckpt.shard_dir(index_dir, i), wanted, columns=columns),
-            range(n_shards)))
-        if all(r is not None for r in results):
-            for r in results:
-                for did, row in r.items():
-                    if did in remaining:
-                        out[did] = row
-                        remaining.discard(did)
-            return out
-        out.clear()
+        got = docstore.lookup_shard_docs(
+            [ckpt.shard_dir(index_dir, i) for i in range(n_shards)],
+            ids, columns=columns)
+        if got is not None:
+            return got
     if len(remaining) > 1 and n_shards > 1:
         # multi-id lookups (the serving snippets path: k hits spread
         # across shards — url-hash ids carry no shard locality, so every
@@ -186,7 +158,7 @@ def fetch_docs(index_dir: str, doc_ids, *, manifest: dict | None = None,
         # parquet reads release the GIL, so a small thread pool turns
         # n_shards sequential row-group scans into one round-trip
         flt = [("doc_id", "in", sorted(remaining))]
-        tables = list(_fetch_pool().map(
+        tables = list(docstore._read_pool().map(
             lambda s: fsio.pq_read_table(
                 os.path.join(shards_root, s, "docs"), filters=flt,
                 columns=columns),

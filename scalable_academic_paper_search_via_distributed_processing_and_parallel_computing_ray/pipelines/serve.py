@@ -125,12 +125,6 @@ class QueryShardActor:
         return {"n_docs_local": int(r._doc_ids.size),
                 "n_terms_local": n_terms}
 
-    def fetch(self, doc_id: int) -> dict | None:
-        """Point lookup served without a per-request job (unlike the
-        reference's spark-submit-per-request ``/paper/{id}`` endpoint)."""
-        from .query import fetch_doc
-        return fetch_doc(self.reader.index_dir, doc_id)
-
 
 class DistributedSearcher:
     """Partition the index's shards over ``num_actors`` query actors.

@@ -118,11 +118,15 @@ def canon(path: str) -> str:
     """Canonical spelling for ledger identity (ADVICE r4): the same file
     reached via a relative path, ``./``, or a symlink must map to ONE
     ``file_seq`` — a different spelling passing the duplicate check would
-    re-ingest every row under fresh doc_ids.  URIs pass through untouched
-    (realpath would mangle ``s3://...`` into a bogus CWD-relative local
-    path); object-store spellings are already canonical per key."""
+    re-ingest every row under fresh doc_ids.  ``file://`` URIs are local
+    files too and map to the realpath of their local path; other URIs
+    pass through untouched (realpath would mangle ``s3://...`` into a
+    bogus CWD-relative local path) — object-store spellings are already
+    canonical per key."""
     from ..state import fsio
-    if fsio.is_uri(path):
+    if path.startswith("file://"):
+        path = fsio.resolve(path)[1]
+    elif fsio.is_uri(path):
         return path
     return os.path.realpath(path)
 

@@ -30,6 +30,18 @@ lets the REBUILD distribute: one sort task per ~2M-row range instead
 of a single shard-wide sort (measured 7.5 s for a 20M-doc shard — the
 one serial step left in a purge compaction before parts existed).
 
+Serving: ``lookup_shard_docs`` probes every shard on the calling thread
+against a byte-capped decoded-data LRU (``_DATA_CAP``) of resolved
+sidecar pointers, decoded sidecar row groups and fetched doc rows.  Each
+entry is keyed on the identity ``(path, mtime_ns, size)`` of the file it
+came from — the footer cache's key — and a doc row on its physical
+``(file, row group, row, columns)`` position, never on its doc_id.  A
+republished pointer or rewritten part therefore re-keys by itself: there
+is no invalidation to call, and stale entries age out of the LRU.
+Tombstones are applied by the caller (``query.fetch_docs``) before any
+lookup.  Only the row-group reads that miss the cache touch disk, all
+shards' misses together as one batch on the reader pool.
+
 Consistency: the sidecar is rebuilt inside ``build._finalize`` — i.e.
 BEFORE the manifest publish that makes any new doc ids reachable — for
 build, extend, and compaction alike (compaction ends in ``_finalize``
@@ -83,11 +95,31 @@ _MD_LOCK = threading.Lock()
 _MD_CACHE: OrderedDict = OrderedDict()
 _MD_CAP = 8192
 
+# ---- decoded-data cache ------------------------------------------------
+# A serving process asks for the same hot docs over and over; decoding
+# them again each time (sidecar pointer json + sidecar row group + a
+# whole 1024-row text row group per hit) was ~2 ms of a ~6 ms snippet
+# request.  One byte-capped LRU holds the decoded pieces, each keyed on
+# the immutable identity of the file it came from, (path, mtime_ns,
+# size) — the footer cache's key, so a rewritten or replaced file
+# re-keys and its old entries simply age out:
+#   ("ptr", ptr file key)                 -> resolved sidecar part paths
+#   ("idx", part file key, rg)            -> decoded sidecar row group
+#   ("row", docs file key, rg, row, cols) -> one doc row (dict)
+# Rows are keyed on their physical position, never on doc_id (a
+# purged-then-recrawled url comes back under the same id), and cached
+# only after the doc_id / row-count / row-group checks passed.  Local
+# paths only, like the footer cache.
+_DATA_LOCK = threading.Lock()
+_DATA_CACHE: OrderedDict = OrderedDict()
+_DATA_CAP = 32 << 20  # bytes
+_data_bytes = 0
+
 # persistent reader pool: creating a ThreadPoolExecutor costs ~4 ms —
 # more than the parallel reads it enables — so per-call pools erased
 # the whole win (measured).  One lazy module-level pool, reused by
-# every lookup in the process; distinct from the per-shard fan-out pool
-# in pipelines/query.py (different pools -> no nested-submit deadlock).
+# every lookup and filtered scan in the process; its tasks never
+# submit to it (no nested-submit deadlock).
 _POOL_LOCK = threading.Lock()
 _READ_POOL = None
 
@@ -103,15 +135,58 @@ def _read_pool():
     return _READ_POOL
 
 
+def _map_reads(fn, tasks: list) -> list:
+    """``[fn(t) for t in tasks]``, on the reader pool when there is more
+    than one: parquet reads release the GIL, so k reads go out as one
+    concurrent round trip instead of k serial ~1 ms reads."""
+    if len(tasks) > 1:
+        return list(_read_pool().map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
+def _file_key(path: str) -> tuple | None:
+    """Immutable identity ``(path, mtime_ns, size)`` of a LOCAL file, the
+    key of every cache here; None when the path is URI-backed (no cheap
+    stat).  OSError when the file is gone -> the caller treats it as
+    stale."""
+    fs, p = fsio.resolve(path)
+    if fs is not None:
+        return None
+    st = os.stat(p)
+    return (p, st.st_mtime_ns, st.st_size)
+
+
+def _data_get(key: tuple):
+    with _DATA_LOCK:
+        ent = _DATA_CACHE.get(key)
+        if ent is None:
+            return None
+        _DATA_CACHE.move_to_end(key)
+        return ent[0]
+
+
+def _data_put(key: tuple, val, nbytes: int) -> None:
+    """Insert, then evict least-recently-used entries down to the cap
+    (an entry bigger than the whole cap evicts itself)."""
+    global _data_bytes
+    with _DATA_LOCK:
+        old = _DATA_CACHE.pop(key, None)
+        if old is not None:
+            _data_bytes -= old[1]
+        _DATA_CACHE[key] = (val, nbytes)
+        _data_bytes += nbytes
+        while _data_bytes > _DATA_CAP and _DATA_CACHE:
+            _data_bytes -= _DATA_CACHE.popitem(last=False)[1][1]
+
+
 def _cached_md(path: str, with_bounds: bool = False):
     """(FileMetaData, bounds|None) for a LOCAL parquet file, LRU-cached;
     None when the path is URI-backed (caller uses fsio.pq_file)."""
     import pyarrow.parquet as pq
-    fs, p = fsio.resolve(path)
-    if fs is not None:
+    key = _file_key(path)  # OSError -> caller treats as stale
+    if key is None:
         return None
-    st = os.stat(p)  # OSError -> caller treats as stale
-    key = (p, st.st_mtime_ns, st.st_size)
+    p = key[0]
     with _MD_LOCK:
         ent = _MD_CACHE.get(key)
         if ent is not None and (not with_bounds or ent[1] is not None):
@@ -158,19 +233,17 @@ def _open_pf(path: str):
 # reader pool; a handle per (thread, file) removes it entirely for hot
 # parts without sharing a ParquetFile across threads (not documented
 # thread-safe).  Keyed on (path, mtime_ns, size) like the footer cache
-# so rewritten parts re-open; 32 handles/thread keeps worst-case fd
-# usage (32 x ~24 pool threads = 768) under a conservative 1024 soft
-# RLIMIT_NOFILE even before Ray's own descriptors.
+# so rewritten parts re-open; 32 handles/thread keeps the reader pool's
+# worst-case fd usage (32 x 16 threads = 512) under a conservative 1024
+# soft RLIMIT_NOFILE even before Ray's own descriptors.
 _TL = threading.local()
 _TL_CAP = 32
 
 
 def _thread_pf(path: str):
-    fs, p = fsio.resolve(path)
-    if fs is not None:
+    key = _file_key(path)
+    if key is None:
         return fsio.pq_file(path)  # URI-backed: no cheap stat, no cache
-    st = os.stat(p)
-    key = (p, st.st_mtime_ns, st.st_size)
     cache = getattr(_TL, "pf", None)
     if cache is None:
         cache = _TL.pf = OrderedDict()
@@ -335,10 +408,21 @@ def sidecar_current_rows(shard_dir: str) -> int | None:
 
 def _resolve_parts(shard_dir: str) -> list[str] | None:
     """Part paths of the CURRENT sidecar generation, or None when there
-    is no (readable, version-matching) pointer."""
+    is no (readable, version-matching) pointer.  A local pointer is
+    cached on its file identity: a publish replaces the file atomically,
+    so a new generation always re-keys."""
     ptr_p = os.path.join(shard_dir, DOCS_IDX_PTR)
-    if not fsio.exists(ptr_p):
+    try:
+        key = _file_key(ptr_p)
+    except OSError:
         return None
+    if key is None:
+        if not fsio.exists(ptr_p):
+            return None
+    else:
+        parts = _data_get(("ptr", key))
+        if parts is not None:
+            return parts
     try:
         ptr = fsio.read_json(ptr_p)
     except (OSError, ValueError):
@@ -346,114 +430,143 @@ def _resolve_parts(shard_dir: str) -> list[str] | None:
     if ptr.get("version") != IDX_VERSION or not ptr.get("dir"):
         return None
     d = os.path.join(shard_dir, str(ptr["dir"]))
-    return [os.path.join(d, f"part-{k:04d}.parquet")
-            for k in range(int(ptr.get("parts", 0)))]
+    parts = [os.path.join(d, f"part-{k:04d}.parquet")
+             for k in range(int(ptr.get("parts", 0)))]
+    if key is not None:
+        _data_put(("ptr", key), parts, 64 + sum(map(len, parts)))
+    return parts
 
 
-def lookup_shard_docs(shard_dir: str, wanted: list[int],
+def _decode_idx(t: pa.Table) -> tuple:
+    """(files, doc_id, file_i, rg_i, row_i) arrays of sidecar rows."""
+    files = json.loads((t.schema.metadata or {})[b"files"])  # KeyError
+    return (files, *(t[c].to_numpy(zero_copy_only=False)
+                     for c in ("doc_id", "file_i", "rg_i", "row_i")))
+
+
+def _read_idx_rg(task: tuple) -> tuple:
+    part, rg = task
+    return _decode_idx(_thread_pf(part).read_row_group(rg,
+                                                       use_threads=False))
+
+
+def _row_nbytes(row: dict) -> int:
+    """Approximate in-memory size of a cached doc row."""
+    return 64 + sum(len(v) if isinstance(v, (str, bytes)) else 16
+                    for v in row.values())
+
+
+def lookup_shard_docs(shard_dirs: list[str], wanted: list[int],
                       columns: list[str] | None = None
                       ) -> dict[int, dict] | None:
-    """Point-read ``wanted`` ids from one shard via the sidecar.
+    """Point-read ``wanted`` ids from the shards ``shard_dirs`` via their
+    sidecars.
 
     Returns ``{doc_id: row_dict}`` for the ids present (missing ids are
-    simply absent), or ``None`` when the sidecar is missing/unreadable/
-    stale — the caller falls back to the filtered scan.  ``columns``
-    prunes the doc read (e.g. the snippets path needs only ``text``)."""
-    import pyarrow.compute as pc
-    part_paths = _resolve_parts(shard_dir)
-    if not part_paths:
-        return None
-    want_arr = np.array(sorted({int(w) for w in wanted}), dtype=np.int64)
-    pieces: list[pa.Table] = []
-    files: list[str] | None = None
+    simply absent), or ``None`` when any shard's sidecar is missing/
+    unreadable/stale — the caller falls back to the filtered scan.
+    ``columns`` prunes the doc read (e.g. the snippets path needs only
+    ``text``).  Probing runs on the calling thread against the decoded-
+    data cache; only the row groups that miss it are read from disk, all
+    shards' misses together as one batch on the reader pool."""
+    want = np.array(sorted({int(w) for w in wanted}), dtype=np.int64)
+    cols = None if columns is None else tuple(columns)
+    # (files, doc_id, file_i, rg_i, row_i) pieces of sidecar rows,
+    # paired with their shard's docs dir and the positions to take
+    pieces: list[tuple] = []
+    idx_reads: list[tuple] = []  # (docs dir, part, part key, rg) misses
     try:
-        for idx_path in part_paths:
-            ent = _cached_md(idx_path, with_bounds=True)
-            if ent is not None and ent[1] is not None:
-                # covering row groups straight from the cached bounds:
-                # a part is doc_id-sorted, so ranges are disjoint within
-                # it and a wanted id's only candidate group is the last
-                # one whose min <= id; keep it iff its max >= id.  Parts
-                # are range-disjoint, so across parts too a wanted id
-                # has (at most) one candidate row group.
-                mins, maxs = ent[1]
-                cand = np.searchsorted(mins, want_arr, side="right") - 1
-                hit = (cand >= 0) & (maxs[np.maximum(cand, 0)]
-                                     >= want_arr)
-                rgs = sorted(set(cand[hit].tolist()))
-                if not rgs:  # part valid, no wanted id in its ranges
+        for sd in shard_dirs:
+            part_paths = _resolve_parts(sd)
+            if not part_paths:
+                return None
+            docs_dir = os.path.join(sd, "docs")
+            for part in part_paths:
+                key = _file_key(part)
+                ent = None if key is None else _cached_md(part, True)
+                if ent is None or ent[1] is None:
+                    # URI-backed or stats-less part: scanner path, uncached
+                    t = fsio.pq_read_table(part, filters=[
+                        ("doc_id", "in", want.tolist())])
+                    dec = _decode_idx(t)
+                    pieces.append((docs_dir, dec, np.arange(t.num_rows)))
                     continue
-                pf = _open_pf(idx_path)
-                part = pf.read_row_groups(rgs, use_threads=False)
-                part = part.filter(pc.is_in(
-                    part["doc_id"],
-                    value_set=pa.array(want_arr, pa.int64())))
-            else:  # URI-backed or stats-less part: scanner path
-                part = fsio.pq_read_table(
-                    idx_path, filters=[("doc_id", "in",
-                                        want_arr.tolist())])
-            if files is None:
-                meta = part.schema.metadata or {}
-                files = json.loads(meta[b"files"])  # KeyError -> stale
-            if part.num_rows:
-                pieces.append(part)
-    except (OSError, pa.ArrowInvalid, FileNotFoundError,
-            KeyError, ValueError):
-        return None
-    out: dict[int, dict] = {}
-    if not pieces:
-        return out
-    idx = pa.concat_tables(pieces)
-    doc_ids = idx["doc_id"].to_numpy(zero_copy_only=False)
-    file_i = idx["file_i"].to_numpy(zero_copy_only=False)
-    rg_i = idx["rg_i"].to_numpy(zero_copy_only=False)
-    row_i = idx["row_i"].to_numpy(zero_copy_only=False)
-    docs_dir = os.path.join(shard_dir, "docs")
-    # group the hits per (file, row group): one row-group read each
-    order = np.lexsort((rg_i, file_i))
-    groups: list[np.ndarray] = []
-    k = 0
-    while k < order.size:
-        j = k
-        fi, rg = int(file_i[order[k]]), int(rg_i[order[k]])
-        while j < order.size and file_i[order[j]] == fi \
-                and rg_i[order[j]] == rg:
-            j += 1
-        if fi >= len(files):
-            return None  # stale sidecar
-        groups.append(order[k:j])
-        k = j
+                # covering row groups straight from the cached bounds: a
+                # part is doc_id-sorted, so ranges are disjoint within it
+                # and a wanted id's only candidate group is the last one
+                # whose min <= id; keep it iff its max >= id.  Parts are
+                # range-disjoint, so across parts too a wanted id has (at
+                # most) one candidate row group.
+                mins, maxs = ent[1]
+                cand = np.searchsorted(mins, want, side="right") - 1
+                hit = (cand >= 0) & (maxs[np.maximum(cand, 0)] >= want)
+                for rg in sorted(set(cand[hit].tolist())):
+                    dec = _data_get(("idx", key, rg))
+                    if dec is None:
+                        idx_reads.append((docs_dir, part, key, rg))
+                    else:
+                        pieces.append((docs_dir, dec, None))
+        read = _map_reads(_read_idx_rg,
+                          [(part, rg) for _, part, _, rg in idx_reads])
+        for (docs_dir, _, key, rg), dec in zip(idx_reads, read):
+            _data_put(("idx", key, rg), dec,
+                      sum(a.nbytes for a in dec[1:]) + 64 * len(dec[0]))
+            pieces.append((docs_dir, dec, None))
 
-    def _read_group(sel: np.ndarray):
-        """-> list[(doc_id, row_dict)] or None (stale sidecar)."""
-        fi, rg = int(file_i[sel[0]]), int(rg_i[sel[0]])
-        try:
-            pf = _thread_pf(os.path.join(docs_dir, files[fi]))
+        # resolve hits to (docs file, rg, row); serve cached rows
+        out: dict[int, dict] = {}
+        misses: dict[tuple, list] = {}  # (path, fkey, rg) -> [(id, row)]
+        fkeys: dict[str, tuple | None] = {}
+        for docs_dir, (files, ids, fi, rgi, rowi), sel in pieces:
+            if sel is None:  # a cached row group: find the wanted ids
+                pos = np.searchsorted(ids, want)
+                ok = pos < ids.size
+                sel = pos[ok][ids[pos[ok]] == want[ok]]
+            for j in sel.tolist():
+                did, f, rg, r = int(ids[j]), int(fi[j]), int(rgi[j]), \
+                    int(rowi[j])
+                if f >= len(files):
+                    return None  # stale sidecar
+                path = os.path.join(docs_dir, files[f])
+                if path not in fkeys:
+                    fkeys[path] = _file_key(path)  # OSError -> stale
+                fkey = fkeys[path]
+                row = None if fkey is None else \
+                    _data_get(("row", fkey, rg, r, cols))
+                if row is None:
+                    misses.setdefault((path, fkey, rg), []).append((did, r))
+                elif int(row.get("doc_id", did)) != did:
+                    return None  # stale sidecar
+                else:
+                    out[did] = dict(row)
+
+        def _read_rows(task: tuple):
+            """-> [(doc_id, row_i, row_dict)] or None (stale sidecar)."""
+            (path, _, rg), sel = task
+            pf = _thread_pf(path)
             if rg >= pf.metadata.num_row_groups:
                 return None  # stale sidecar (part shrank)
             t = pf.read_row_group(rg, columns=columns, use_threads=False)
-        except (OSError, pa.ArrowInvalid, FileNotFoundError):
-            return None  # stale sidecar (part vanished / truncated)
-        res = []
-        for did, r in zip(doc_ids[sel], row_i[sel]):
-            if int(r) >= t.num_rows:
-                return None  # stale sidecar (row beyond rewritten part)
-            # zero-copy slice beats a take kernel for ones-and-twos rows
-            row = t.slice(int(r), 1).to_pylist()[0]
-            if int(row.get("doc_id", did)) != int(did):
-                return None  # stale sidecar (part rewritten)
-            res.append((int(did), row))
-        return res
+            res = []
+            for did, r in sel:
+                if r >= t.num_rows:
+                    return None  # stale sidecar (row beyond rewritten part)
+                # zero-copy slice beats a take kernel for ones-and-twos rows
+                row = t.slice(r, 1).to_pylist()[0]
+                if int(row.get("doc_id", did)) != did:
+                    return None  # stale sidecar (part rewritten)
+                res.append((did, r, row))
+            return res
 
-    if len(groups) > 1:
-        # parquet reads release the GIL: k hits in k distinct parts go
-        # out as one concurrent round-trip, not k serial ~1 ms reads
-        results = list(_read_pool().map(_read_group, groups))
-    else:
-        results = [_read_group(g) for g in groups]
-    for res in results:
-        if res is None:
-            return None
-        for did, row in res:
-            out[did] = row
+        groups = list(misses.items())
+        results = _map_reads(_read_rows, groups)
+    except (OSError, pa.ArrowInvalid, KeyError, ValueError):
+        return None  # stale sidecar (part vanished / truncated / bogus)
+    if any(res is None for res in results):
+        return None
+    for ((_, fkey, rg), _), res in zip(groups, results):
+        for did, r, row in res:
+            if fkey is not None:
+                _data_put(("row", fkey, rg, r, cols), row, _row_nbytes(row))
+            out[did] = dict(row)
     return out

@@ -223,3 +223,23 @@ def test_canon_passes_uris_through(tmp_path):
     os.symlink(p, link)
     assert fragments.canon(str(link)) == fragments.canon(str(p)) \
         == os.path.realpath(str(p))
+
+
+def test_file_uri_and_local_path_share_one_ledger_entry(ray_session,
+                                                        pages_dir,
+                                                        tmp_path_factory):
+    """``file:///x/p.parquet`` and ``/x/p.parquet`` name one file: they
+    canonicalize to one ledger entry, so extending with the URI spelling
+    of an indexed file is refused like the plain spelling."""
+    from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.sources import (
+        fragments,
+    )
+    files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
+    assert fragments.canon("file://" + files[0]) == \
+        fragments.canon(files[0]) == os.path.realpath(files[0])
+    d = str(tmp_path_factory.mktemp("shuri") / "idx")
+    build.build_index(files[:2], d,
+                      build.BuildParams(doc_id_mode="sharded", **PARAMS))
+    with pytest.raises(ValueError, match="already indexed"):
+        build.extend_index("file://" + files[0], d)
+    assert load_ledger(d) == [os.path.realpath(f) for f in files[:2]]

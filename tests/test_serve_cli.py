@@ -102,3 +102,39 @@ def test_serve_front_exclude_and_snippets(ray_session, index_dir,
     for row in rows:
         assert row["snippet"]
         assert row["n_terms"] >= 1  # hits contain at least one query term
+
+
+def test_search_snippets_one_batched_fetch(ray_session, index_dir,
+                                           monkeypatch):
+    """``search --snippets`` prints exactly the rows a per-hit fetch_doc
+    + make_snippet would, from ONE fetch_docs call for all hits (the
+    manifest and tombstones are read once, not once per hit)."""
+    from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.functions.snippet import (
+        make_snippet,
+    )
+    from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.pipelines import (
+        query,
+    )
+    qt = "spark data join"
+    want = []
+    for rank, h in enumerate(query.IndexReader(index_dir).search(qt, 5), 1):
+        row = {"rank": rank, "doc_id": h.doc_id, "score": round(h.score, 6)}
+        doc = query.fetch_doc(index_dir, h.doc_id)
+        if doc is not None:
+            row.update(make_snippet(doc.get("text", ""), qt))
+        want.append(row)
+
+    calls = {"fetch_docs": 0}
+    real = query.fetch_docs
+
+    def counting(*a, **kw):
+        calls["fetch_docs"] += 1
+        return real(*a, **kw)
+    monkeypatch.setattr(query, "fetch_docs", counting)
+    stdout = io.StringIO()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert cli.main(["search", "--index", index_dir, "--query", qt,
+                     "--k", "5", "--snippets"]) == 0
+    got = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    assert got == want and all("snippet" in r for r in got)
+    assert calls["fetch_docs"] == 1
