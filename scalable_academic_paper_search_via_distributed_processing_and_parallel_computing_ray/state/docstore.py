@@ -95,21 +95,17 @@ _MD_LOCK = threading.Lock()
 _MD_CACHE: OrderedDict = OrderedDict()
 _MD_CAP = 8192
 
-# ---- decoded-data cache ------------------------------------------------
-# A serving process asks for the same hot docs over and over; decoding
-# them again each time (sidecar pointer json + sidecar row group + a
-# whole 1024-row text row group per hit) was ~2 ms of a ~6 ms snippet
-# request.  One byte-capped LRU holds the decoded pieces, each keyed on
-# the immutable identity of the file it came from, (path, mtime_ns,
-# size) — the footer cache's key, so a rewritten or replaced file
-# re-keys and its old entries simply age out:
+# ---- decoded-data cache (see the module docstring) ----------------------
+# Decoding the same hot docs again per request (pointer json, sidecar row
+# group, a whole 1024-row text row group per hit) was ~2 ms of a ~6 ms
+# snippet request.  Entries, keyed on file identities like the footer
+# cache (local paths only):
 #   ("ptr", ptr file key)                 -> resolved sidecar part paths
 #   ("idx", part file key, rg)            -> decoded sidecar row group
 #   ("row", docs file key, rg, row, cols) -> one doc row (dict)
-# Rows are keyed on their physical position, never on doc_id (a
-# purged-then-recrawled url comes back under the same id), and cached
-# only after the doc_id / row-count / row-group checks passed.  Local
-# paths only, like the footer cache.
+# Never key a row on doc_id: a purged-then-recrawled url comes back under
+# the same id.  Rows are cached only after the doc_id / row-count /
+# row-group checks passed.
 _DATA_LOCK = threading.Lock()
 _DATA_CACHE: OrderedDict = OrderedDict()
 _DATA_CAP = 32 << 20  # bytes
@@ -406,7 +402,7 @@ def sidecar_current_rows(shard_dir: str) -> int | None:
     return n_rows
 
 
-def _resolve_parts(shard_dir: str) -> list[str] | None:
+def _resolve_parts(shard_dir: str) -> tuple[str, ...] | None:
     """Part paths of the CURRENT sidecar generation, or None when there
     is no (readable, version-matching) pointer.  A local pointer is
     cached on its file identity: a publish replaces the file atomically,
@@ -430,8 +426,8 @@ def _resolve_parts(shard_dir: str) -> list[str] | None:
     if ptr.get("version") != IDX_VERSION or not ptr.get("dir"):
         return None
     d = os.path.join(shard_dir, str(ptr["dir"]))
-    parts = [os.path.join(d, f"part-{k:04d}.parquet")
-             for k in range(int(ptr.get("parts", 0)))]
+    parts = tuple(os.path.join(d, f"part-{k:04d}.parquet")
+                  for k in range(int(ptr.get("parts", 0))))
     if key is not None:
         _data_put(("ptr", key), parts, 64 + sum(map(len, parts)))
     return parts
