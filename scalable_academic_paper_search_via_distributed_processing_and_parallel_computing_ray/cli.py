@@ -31,6 +31,12 @@ def _ray_session(num_cpus: int | None):
     return ray, owned
 
 
+_ACTORS_HELP = ("shard actors to start, at most; the pool never has more "
+                "actors than shards or than the CPUs Ray was given (each "
+                "is a single-threaded process of ~190 MB resident, and "
+                "each holds its own postings cache budget)")
+
+
 def _serve_loop(ray, args, stdin, stdout) -> int:
     """Dispatch newline-delimited JSON requests against long-lived serving
     state (:class:`pipelines.serve_front.ServeState` — the same dispatcher
@@ -128,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
 
     d = sub.add_parser("serve-demo", help="distributed actor-pool query demo")
     d.add_argument("--index", required=True)
-    d.add_argument("--actors", type=int, default=2)
+    d.add_argument("--actors", type=int, default=2, help=_ACTORS_HELP)
     d.add_argument("--query", required=True)
     d.add_argument("--k", type=int, default=10)
     d.add_argument("--lazy", action="store_true",
@@ -159,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         "FastAPI, api/combined.py:159-278 + api/enrich.py:208-240; both "
         "fronts share one dispatcher, pipelines/serve_front.py)")
     v.add_argument("--index", required=True)
-    v.add_argument("--actors", type=int, default=2)
+    v.add_argument("--actors", type=int, default=2, help=_ACTORS_HELP)
     v.add_argument("--http", type=int, default=None, metavar="PORT",
                    help="serve real HTTP on this port instead of stdio "
                    "(0 = ephemeral; the bound address is printed as one "

@@ -452,16 +452,26 @@ class IndexReader:
                 td = fsio.pq_read_table(td_path)
                 self._df = dict(zip(td["term"].to_pylist(),
                                     (int(x) for x in td["df"].to_pylist())))
-        # tombstones (build.delete_docs): a local live-mask ANDed into
-        # every search via _mask_with_exclude.  Lucene-style semantics —
-        # deleted docs never surface but global stats (df, avg_dl) keep
-        # counting them until compaction purges (scores stay stable).
-        ts = load_tombstones(index_dir, self.manifest)
-        self._live: np.ndarray | None = None
-        if ts.size:
-            pos = np.searchsorted(ts, self._doc_ids)
-            pos[pos >= ts.size] = ts.size - 1
-            self._live = ts[pos] != self._doc_ids
+        self.set_tombstones(load_tombstones(index_dir, self.manifest))
+
+    def set_tombstones(self, ts: np.ndarray) -> None:
+        """Install the live-mask for ``ts``, the sorted deleted doc_ids of
+        :func:`load_tombstones` (``build.delete_docs``); it is ANDed into
+        every search via _mask_with_exclude.  Lucene-style semantics —
+        deleted docs never surface but global stats (df, avg_dl) keep
+        counting them until compaction purges (scores stay stable), so a
+        long-lived reader can follow later deletes by calling this again.
+        O(deleted * log local docs); the mask stays None when none of
+        this reader's docs is deleted."""
+        n = self._doc_ids.size
+        pos = np.searchsorted(self._doc_ids, ts)
+        hit = pos < n
+        pos = pos[hit][self._doc_ids[pos[hit]] == ts[hit]]
+        live = None
+        if pos.size:
+            live = np.ones(n, dtype=bool)
+            live[pos] = False
+        self._live = live
 
     def _has_term(self, t: str) -> bool:
         return t in (self._loc if self._lazy else self._postings)

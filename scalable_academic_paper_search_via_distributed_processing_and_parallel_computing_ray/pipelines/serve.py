@@ -22,13 +22,35 @@ import os
 
 import ray
 
-from .query import IndexReader, TopkResult
+from ..state import fsio
+from .query import IndexReader, TopkResult, load_tombstones
+
+
+def actor_pool_size(requested: int, n_shards: int, n_cpus: int) -> int:
+    """Number of shard actors to start: the requested count, capped at the
+    shard count (an actor needs a shard to score) and at the CPUs Ray was
+    given.  Each actor is a single-threaded process, so past the CPU count
+    extra actors score nothing in parallel; they only add one process hop
+    per request and ~190 MB resident each.  Never fewer than one."""
+    return max(1, min(requested, n_shards, n_cpus))
+
+
+def _ray_cpus() -> int:
+    """CPUs Ray was given (``build._ncpu`` without its floor of 2)."""
+    try:
+        return int(ray.cluster_resources().get("CPU", 1))
+    except Exception:
+        return os.cpu_count() or 1
 
 
 @ray.remote
 class QueryShardActor:
     """Holds a subset of index shards; state loads once per actor
-    (reference ST3 pattern, SURVEY.md §2.3)."""
+    (reference ST3 pattern, SURVEY.md §2.3).
+
+    Query calls carry the caller's tombstone file list (the manifest's
+    ``tombstone_files``); the actor reloads its live-mask only when that
+    list changes, so a running actor masks docs deleted after it opened."""
 
     def __init__(self, index_dir: str, shard_names: list[str],
                  cache_postings_budget: int = 32_000_000,
@@ -46,7 +68,28 @@ class QueryShardActor:
         self.reader = IndexReader(index_dir, shard_subset=shard_names,
                                   cache_postings_budget=cache_postings_budget,
                                   lazy=lazy)
+        self._shards = list(shard_names)
+        self._ts_files = tuple(self.reader.manifest.get("tombstone_files",
+                                                        []))
         self._masks: dict[str, "object"] = {}
+
+    def _sync_tombstones(self, ts_files: tuple[str, ...] | None) -> None:
+        """Follow the caller's tombstone generation: O(deleted), and only
+        when the file list differs from the one this actor holds."""
+        if ts_files is None or tuple(ts_files) == self._ts_files:
+            return
+        index_dir = self.reader.index_dir
+        try:
+            ts = load_tombstones(index_dir,
+                                 {"tombstone_files": list(ts_files)})
+        except OSError:
+            # delete_docs keeps one older generation; a caller two deletes
+            # behind reads the current manifest's list (a superset)
+            m = fsio.read_json(fsio.join(index_dir, "manifest.json"))
+            ts_files = m.get("tombstone_files", [])
+            ts = load_tombstones(index_dir, m)
+        self.reader.set_tombstones(ts)
+        self._ts_files = tuple(ts_files)
 
     def register_filter(self, filter_id: str, allowed_ids) -> int:
         """Build + cache this actor's LOCAL doc mask for a named filter.
@@ -64,14 +107,18 @@ class QueryShardActor:
                method: str = "auto",
                filter_id: str | None = None,
                exclude: str | None = None,
-               after: tuple[float, int] | None = None
+               after: tuple[float, int] | None = None,
+               ts_files: tuple[str, ...] | None = None
                ) -> list[tuple[int, float]]:
         """``exclude``: boolean-NOT terms — each actor builds its own
         shard-LOCAL not-mask (O(local df) decode, LRU-cached), exactly as
         filters stay local; nothing global ships per query.  ``after``:
         (score, doc_id) pagination cursor, applied locally — the driver
         merge of local after-pages is the global after-page (shards
-        partition docs and the cursor predicate is per-doc)."""
+        partition docs and the cursor predicate is per-doc).
+        ``ts_files``: the caller's tombstone file list (see the class
+        docstring); None keeps the current live-mask."""
+        self._sync_tombstones(ts_files)
         if filter_id is not None and filter_id not in self._masks:
             raise KeyError(f"filter {filter_id!r} not registered "
                            "(call register_filter first)")
@@ -89,24 +136,30 @@ class QueryShardActor:
                                       exclude=exclude, after=after)
         return [(h.doc_id, h.score) for h in hits]
 
-    def search_many(self, queries: list[dict],
-                    method: str = "auto") -> list[list[tuple[int, float]]]:
+    def search_many(self, queries: list[dict], method: str = "auto",
+                    ts_files: tuple[str, ...] | None = None
+                    ) -> list[list[tuple[int, float]]]:
         """Shard-local bulk search (one remote call for the whole list;
         see DistributedSearcher.search_many)."""
+        self._sync_tombstones(ts_files)
         return [self.search(q["query_text"], int(q.get("k", 10)),
                             q.get("mode", "or"), method)
                 for q in queries]
 
-    def phrase(self, query_text: str, k: int,
-               slop: int = 0) -> list[tuple[int, float]]:
+    def phrase(self, query_text: str, k: int, slop: int = 0,
+               ts_files: tuple[str, ...] | None = None
+               ) -> list[tuple[int, float]]:
         """Shard-local phrase top-k (exact when slop=0, proximity window
         otherwise); needs a positions=True index.  Local-then-merge is
         exact for phrases too: shards partition the doc space."""
+        self._sync_tombstones(ts_files)
         hits = self.reader.search_phrase(query_text, k, slop=slop)
         return [(h.doc_id, h.score) for h in hits]
 
-    def explain(self, query_text: str, doc_id: int) -> dict | None:
+    def explain(self, query_text: str, doc_id: int,
+                ts_files: tuple[str, ...] | None = None) -> dict | None:
         """Per-term BM25 breakdown if this actor's shards hold the doc."""
+        self._sync_tombstones(ts_files)
         return self.reader.explain(query_text, doc_id)
 
     def suggest(self, prefix: str, k: int = 10) -> list[tuple[str, int]]:
@@ -122,12 +175,25 @@ class QueryShardActor:
     def stats(self) -> dict:
         r = self.reader
         n_terms = len(r._loc) if r._lazy else len(r._postings)
-        return {"n_docs_local": int(r._doc_ids.size),
+        return {"shards": self._shards,
+                "n_docs_local": int(r._doc_ids.size),
                 "n_terms_local": n_terms}
 
 
 class DistributedSearcher:
-    """Partition the index's shards over ``num_actors`` query actors.
+    """Partition the index's shards over ``num_actors`` query actors,
+    round-robin.  The pool never has more actors than shards or than the
+    CPUs Ray was given (:func:`actor_pool_size`, explicit counts included):
+    each actor is a single-threaded process of ~190 MB resident, and on a
+    host with fewer CPUs than actors the extra ones only add a process hop
+    per request.  An actor holding several shards scores them in one
+    reader, with identical results.  The postings cache budget
+    (``QueryShardActor``'s ``cache_postings_budget``) is per ACTOR, spent
+    over all the shards it holds.
+
+    Deletes stay visible to a running searcher: every query reads the
+    manifest's tombstone file list through :meth:`snapshot` and passes it
+    to the actors, which reload their live-masks when it changes.
 
     ``batch_window_ms > 0`` enables request micro-batching on the
     interactive path (:meth:`search_batched`): concurrent requests
@@ -146,18 +212,37 @@ class DistributedSearcher:
         self._block = threading.Lock()
         self._pending: list[dict] = []
         self._leader = False
-        from ..state import fsio
-        n_shards = int(fsio.read_json(
-            fsio.join(index_dir, "manifest.json"))["n_shards"])
+        self._mf_path = fsio.join(index_dir, "manifest.json")
+        self._snap: tuple = (None, None, None)
+        manifest, _ = self.snapshot()
+        n_shards = int(manifest["n_shards"])
         # manifest-driven discovery: partial shard dirs from an in-flight
         # extend must stay invisible (same rule as IndexReader)
         shard_names = [f"shard-{i:04d}" for i in range(n_shards)]
-        num_actors = max(1, min(num_actors, len(shard_names)))
+        num_actors = actor_pool_size(num_actors, n_shards, _ray_cpus())
         assign: list[list[str]] = [[] for _ in range(num_actors)]
         for i, s in enumerate(shard_names):
             assign[i % num_actors].append(s)
         self.actors = [QueryShardActor.remote(index_dir, names, lazy=lazy)
                        for names in assign if names]
+
+    def snapshot(self) -> tuple[dict, tuple[str, ...]]:
+        """(manifest, tombstone file list) of the index as of now.  The
+        manifest is re-read only when the ``(st_ino, st_mtime_ns,
+        st_size)`` of ``manifest.json`` changes (a stat is ~3 us, a read
+        ~54 us; every publish is an atomic replace, hence a new inode).
+        URI-backed indexes have no cheap stat and re-read every call."""
+        fs, p = fsio.resolve(self._mf_path)
+        key = None
+        if fs is None:
+            st = os.stat(p)
+            key = (st.st_ino, st.st_mtime_ns, st.st_size)
+        snap = self._snap
+        if key is None or key != snap[0]:
+            m = fsio.read_json(self._mf_path)
+            snap = (key, m, tuple(m.get("tombstone_files", [])))
+            self._snap = snap  # one tuple: safe across request threads
+        return snap[1], snap[2]
 
     def register_filter(self, filter_id: str, allowed_ids) -> int:
         """Broadcast an allowed-doc-id filter to every shard actor (ONE
@@ -181,8 +266,9 @@ class DistributedSearcher:
                filter_id: str | None = None,
                exclude: str | None = None,
                after: tuple[float, int] | None = None) -> list[TopkResult]:
+        ts_files = self.snapshot()[1]
         futs = [a.search.remote(query_text, k, mode, method, filter_id,
-                                exclude, after)
+                                exclude, after, ts_files)
                 for a in self.actors]
         merged: list[tuple[int, float]] = []
         for part in ray.get(futs):
@@ -257,7 +343,9 @@ class DistributedSearcher:
         round-trip to one per actor so bulk throughput scales with the
         scoring tier.  Each query dict: ``{"query_text", "k", "mode"}``.
         Results are rank-identical to per-query :meth:`search`."""
-        futs = [a.search_many.remote(queries, method) for a in self.actors]
+        ts_files = self.snapshot()[1]
+        futs = [a.search_many.remote(queries, method, ts_files)
+                for a in self.actors]
         parts = ray.get(futs)  # [actor][query] -> [(doc, score)]
         out: list[list[TopkResult]] = []
         for qi, q in enumerate(queries):
@@ -272,7 +360,8 @@ class DistributedSearcher:
     def explain(self, query_text: str, doc_id: int) -> dict | None:
         """Ask every shard actor (shards partition docs: at most one
         answers non-None)."""
-        for ans in ray.get([a.explain.remote(query_text, doc_id)
+        ts_files = self.snapshot()[1]
+        for ans in ray.get([a.explain.remote(query_text, doc_id, ts_files)
                             for a in self.actors]):
             if ans is not None:
                 return ans
@@ -280,7 +369,9 @@ class DistributedSearcher:
 
     def search_phrase(self, query_text: str, k: int = 10,
                       slop: int = 0) -> list[TopkResult]:
-        futs = [a.phrase.remote(query_text, k, slop) for a in self.actors]
+        ts_files = self.snapshot()[1]
+        futs = [a.phrase.remote(query_text, k, slop, ts_files)
+                for a in self.actors]
         merged: list[tuple[int, float]] = []
         for part in ray.get(futs):
             merged.extend(part)

@@ -40,7 +40,15 @@ class ServeState:
     """Long-lived serving state + op dispatcher shared by the stdio and
     HTTP fronts.  ``handle(req)`` -> (response dict, quit?).  Every error
     comes back as ``{"error": ...}`` — a serving front must not die on a
-    bad request."""
+    bad request.
+
+    ``num_actors`` is an upper bound: the shard-actor pool never has more
+    actors than shards or than the CPUs Ray was given (each actor is a
+    single-threaded process of ~190 MB resident; see
+    :class:`~.serve.DistributedSearcher`), and each actor's postings cache
+    budget is spent over all the shards it holds.  Deletes made while
+    serving are visible to the next request: searches and doc fetches
+    filter against the searcher's one manifest snapshot."""
 
     def __init__(self, index_dir: str, num_actors: int = 2,
                  lazy: bool = False, analytics_dir: str | None = None,
@@ -58,26 +66,21 @@ class ServeState:
         if analytics_dir:
             from .enrich import EnrichServer
             self.enrich_actor = EnrichServer.remote(analytics_dir)
-        # tombstone cache for the fetch/snippets paths, keyed on the
-        # manifest's tombstone file list (ADVICE r4: per-snippet lookups
-        # were re-reading every tombstone parquet) — the manifest itself
-        # is re-read per request (one small JSON) so deletes stay visible
-        # to a running server
-        self._ts_key: tuple | None = None
-        self._ts = None
+        # deleted doc_ids for the fetch/snippets paths, keyed on the
+        # manifest's tombstone file list (per-snippet lookups must not
+        # re-read every tombstone parquet)
+        self._ts: tuple | None = None
 
     def _manifest_tombstones(self) -> tuple[dict, "object"]:
-        import os
-
-        from ..state import checkpoint as ckpt
+        """The searcher's manifest snapshot (the same generation its
+        actors filter against) and its deleted doc_ids."""
         from .query import load_tombstones
-        manifest = ckpt.read_json(os.path.join(self.index_dir,
-                                               "manifest.json"))
-        key = tuple(manifest.get("tombstone_files", []))
-        if key != self._ts_key:
-            self._ts = load_tombstones(self.index_dir, manifest)
-            self._ts_key = key
-        return manifest, self._ts
+        manifest, files = self.searcher.snapshot()
+        ts = self._ts
+        if ts is None or ts[0] != files:
+            ts = (files, load_tombstones(self.index_dir, manifest))
+            self._ts = ts  # one tuple: safe across request threads
+        return manifest, ts[1]
 
     def shutdown(self) -> None:
         self.searcher.shutdown()
@@ -204,10 +207,7 @@ class ServeState:
             [a.stats.remote() for a in self.searcher.actors])}
 
     def _op_root(self, req: dict) -> dict:
-        import os
-
-        from ..state import checkpoint as ckpt
-        m = ckpt.read_json(os.path.join(self.index_dir, "manifest.json"))
+        m = self.searcher.snapshot()[0]
         return {"ok": True, "n_docs": m["n_docs"],
                 "avg_dl": m["avg_dl"], "shards": m["n_shards"]}
 

@@ -124,23 +124,49 @@ def test_compact_purges_to_fresh_build(ray_session, pages_dir, tmp_path):
 
 
 def test_serve_respects_deletes(ray_session, pages_dir, tmp_path):
+    """Deletes made while ONE searcher runs are masked on its next
+    request, on the per-request (``search``) and the batched
+    (``search_batched`` -> ``search_many``) paths alike, with survivor
+    ranks and scores equal to a freshly opened reader's."""
+    import ray
+
     from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.pipelines.serve import (
         DistributedSearcher,
     )
     d = str(tmp_path / "idx")
     build.build_index(pages_dir, d,
                       build.BuildParams(num_shards=2, num_salts=4))
-    s = DistributedSearcher(d, num_actors=2)
+    s = DistributedSearcher(d, num_actors=2, batch_window_ms=1.0)
     try:
-        victim = s.search("data", 5)[0].doc_id
+        v1 = s.search("data", 5)[0].doc_id
+        build.delete_docs(d, [v1])
+        got = s.search("data", 20)
+        assert all(h.doc_id != v1 for h in got)
+        assert _fmt(got) == _fmt(query.IndexReader(d).search("data", 20))
+        assert s.explain("data", v1) is None
+
+        v2 = s.search_batched("data", 5)[0].doc_id
+        assert v2 != v1
+        build.delete_docs(d, [v2])
+        got = s.search_batched("data", 20)
+        assert not {v1, v2} & {h.doc_id for h in got}
+        assert _fmt(got) == _fmt(query.IndexReader(d).search("data", 20))
+        many = s.search_many([{"query_text": "data", "k": 20}])[0]
+        assert _fmt(many) == _fmt(got)
+
+        # a caller two deletes behind names a tombstone file that
+        # delete_docs has already removed: each actor falls back to the
+        # current manifest's list instead of failing the request
+        for a in s.actors:
+            shards = ray.get(a.stats.remote())["shards"]
+            hits = ray.get(a.search.remote(
+                "data", 20, "or", "auto", None, None, None,
+                ("tombstones-gone.parquet",)))
+            want = query.IndexReader(d, shard_subset=shards)
+            assert [(doc, round(sc, 6)) for doc, sc in hits] == \
+                _fmt(want.search("data", 20))
     finally:
         s.shutdown()
-    build.delete_docs(d, [victim])
-    s2 = DistributedSearcher(d, num_actors=2)
-    try:
-        assert all(h.doc_id != victim for h in s2.search("data", 20))
-    finally:
-        s2.shutdown()
 
 
 def test_purge_passes_untouched_groups_through(ray_session, pages_dir,

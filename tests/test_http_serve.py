@@ -152,6 +152,9 @@ def test_explain_and_stats(http_base):
     assert code == 200 and ex["explain"]
     code, st = _get(http_base, "/stats")
     assert code == 200 and len(st["actors"]) == 2
+    _, root = _get(http_base, "/")
+    shards = sorted(s for a in st["actors"] for s in a["shards"])
+    assert shards == [f"shard-{i:04d}" for i in range(root["shards"])]
 
 
 def test_bad_requests_dont_kill_server(http_base):

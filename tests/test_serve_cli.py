@@ -74,6 +74,11 @@ def test_serve_front_search_fetch_enrich(ray_session, index_dir,
     assert "error" in out[3]
     assert "error" in out[4]
     assert len(out[5]["actors"]) == 2
+    # the actors' shard lists partition the manifest's shards
+    with open(f"{index_dir}/manifest.json") as f:
+        n_shards = json.load(f)["n_shards"]
+    shards = sorted(s for a in out[5]["actors"] for s in a["shards"])
+    assert shards == [f"shard-{i:04d}" for i in range(n_shards)]
     assert out[6]["ok"] and out[6]["allowed_docs"] == len(allowed)
     assert [(r["doc_id"], r["score"]) for r in out[7]["results"]] == want_f
     assert "error" in out[8]  # unregistered filter fails loud

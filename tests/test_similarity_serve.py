@@ -67,6 +67,20 @@ def test_knn_ivf_partial_probe_recall(emb_ds, emb_mat):
     assert first[0] == int(ids[0]) and first[1] == int(ids[1])
 
 
+def test_actor_pool_size_rule():
+    """Never more shard actors than requested, than shards, or than the
+    CPUs Ray was given; never fewer than one."""
+    from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.pipelines.serve import (
+        actor_pool_size,
+    )
+    assert actor_pool_size(2, 2, 1) == 1   # default pool on one CPU
+    assert actor_pool_size(8, 16, 4) == 4  # explicit request > CPUs
+    assert actor_pool_size(8, 2, 32) == 2  # request > shards
+    assert actor_pool_size(3, 8, 8) == 3   # within both caps
+    assert actor_pool_size(0, 2, 4) == 1
+    assert actor_pool_size(2, 2, 0) == 1
+
+
 def test_distributed_searcher_matches_local(ray_session, index_dir):
     from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.pipelines import (
         query,
