@@ -1093,15 +1093,12 @@ def merge_segment_rows(group: pa.Table,
         docs_l.append(ids)
         tfs_l.append(tfs)
         # per-posting dl lower bound from the source block's impact
-        # frontier (falls back to the block minimum on legacy rows)
+        # frontier
         nb = enc.block_first.size
         sizes = np.full(nb, BLOCK_SIZE, dtype=np.int64)
         sizes[-1] = enc.df - (nb - 1) * BLOCK_SIZE
-        if enc.imp_n is not None and enc.imp_n.size:
-            dls_l.append(expand_dl_lower_bounds(
-                tfs, enc.imp_tf, enc.imp_dl, enc.imp_n, sizes))
-        else:
-            dls_l.append(np.repeat(enc.block_min_dl.astype(np.int64), sizes))
+        dls_l.append(expand_dl_lower_bounds(
+            tfs, enc.imp_tf, enc.imp_dl, enc.imp_n, sizes))
         if len(enc.pos_bytes):
             has_pos = True
             poss_l.append(decode_positions(enc, tfs))
@@ -1287,24 +1284,18 @@ def _merge_groups_chunk(t: pa.Table, starts: np.ndarray, ends: np.ndarray,
         _binary_col_flat(tm["doc_bytes"]),
         _binary_col_flat(tm["tf_bytes"]), dfs)
     _, bsizes, _ = _block_geometry(dfs)
-    if "imp_tf" in tm.column_names:
-        # per-posting dl lower bound from each SOURCE block's impact
-        # frontier — tighter than the block minimum, and re-encode of a
-        # single-row group stays byte-identical (codec.expand_dl_lower_bounds)
-        dl = expand_dl_lower_bounds(
-            tfs,
-            pc.list_flatten(tm["imp_tf"]).to_numpy(zero_copy_only=False)
-            .astype(np.int64),
-            pc.list_flatten(tm["imp_dl"]).to_numpy(zero_copy_only=False)
-            .astype(np.int64),
-            pc.list_flatten(tm["imp_n"]).to_numpy(zero_copy_only=False)
-            .astype(np.int64),
-            bsizes)
-    else:  # legacy rows: source-block minimum per posting
-        mdl = tm["block_min_dl"].combine_chunks()
-        dl = np.repeat(
-            mdl.values.to_numpy(zero_copy_only=False).astype(np.int64),
-            bsizes)
+    # per-posting dl lower bound from each SOURCE block's impact frontier
+    # — tighter than the block minimum, and re-encode of a single-row
+    # group stays byte-identical (codec.expand_dl_lower_bounds)
+    dl = expand_dl_lower_bounds(
+        tfs,
+        pc.list_flatten(tm["imp_tf"]).to_numpy(zero_copy_only=False)
+        .astype(np.int64),
+        pc.list_flatten(tm["imp_dl"]).to_numpy(zero_copy_only=False)
+        .astype(np.int64),
+        pc.list_flatten(tm["imp_n"]).to_numpy(zero_copy_only=False)
+        .astype(np.int64),
+        bsizes)
     grp = np.repeat(grp_of_row, dfs)
 
     if tombstones is not None and tombstones.size and ids.size:
@@ -1412,7 +1403,6 @@ def _merge_range(files: dict[str, tuple[int, list[tuple[int, int, int]]]],
             if t.num_rows:
                 rows_read += t.num_rows
                 by_gid.setdefault(gid, []).append(t)
-    t_read = time.time()
     for gid, parts in by_gid.items():
         t = pa.concat_tables(parts, promote_options="default")
         if t.num_rows == 0:
@@ -1527,15 +1517,6 @@ def _merge_range(files: dict[str, tuple[int, list[tuple[int, int, int]]]],
         # would lose all boundary precision
         fsio.pq_write_table(out, tmp, row_group_size=SEG_ROW_GROUP)
         fsio.replace(tmp, os.path.join(d, f"part-r{ridx:06d}.parquet"))
-    if os.environ.get("GRAFT_MERGE_DEBUG"):
-        import json
-        with open(f"/tmp/graft_merge_debug_{os.getpid()}_{ridx}.json",
-                  "w") as fh:
-            json.dump({"ridx": ridx, "secs": round(time.time() - t_start, 3),
-                       "read_s": round(t_read - t_start, 3),
-                       "rows": rows_read, "nfiles": len(files),
-                       "split": sum(1 for _, (g, ps) in files.items()
-                                    for p in ps if p[2] != -1)}, fh)
     return (round(time.time() - t_start, 3), rows_read)
 
 

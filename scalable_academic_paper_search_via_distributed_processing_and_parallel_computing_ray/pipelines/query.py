@@ -23,7 +23,7 @@ brute-force oracle):
 * windows advance in ascending doc order and ties keep the earliest
   (smallest) doc_ids, which matches the (score desc, doc_id asc) tie-break,
   so pruning with ``ub <= theta`` never drops a tie that should win;
-* float32 block maxima are widened by a small margin before pruning.
+* block bounds carry no safety margin (see below).
 
 A term's postings may live in several (salt, shard) rows; each row becomes
 its own cursor — doc sets are disjoint, so correctness is unaffected and
@@ -37,7 +37,6 @@ import threading as _threading
 from dataclasses import dataclass
 
 import numpy as np
-import pyarrow.parquet as pq
 
 from ..functions import bm25
 from ..functions.codec import (BLOCK_SIZE, FORMAT_VERSION, EncodedPostings,
@@ -50,17 +49,16 @@ from ..state.termdict import TermDict
 
 # Block upper bounds carry NO safety margin: the bound and the score are
 # the SAME float64 expression (bm25.tf_norm_vec; idf multiply) evaluated
-# at (block_max_tf, block_min_dl) vs (tf, dl) — integer inputs, so a
-# differing input differs by >= 1 and moves the real value by >= ~1e-10
-# relative, 5 orders above the <= ~1e-15 accumulated rounding of the 5
-# flops involved; equal inputs give bit-identical outputs.  Cross-term
-# sums accumulate in the same cursor order on both sides and float
-# addition is monotone with non-negative terms, so ub >= score holds
-# exactly in float64.  This matters for pruning under score TIES
+# at a block's impact-frontier (tf, dl) pairs vs each posting's (tf, dl)
+# — integer inputs, so a differing input differs by >= 1 and moves the
+# real value by >= ~1e-10 relative, 5 orders above the <= ~1e-15
+# accumulated rounding of the 5 flops involved; equal inputs give
+# bit-identical outputs.  Cross-term sums accumulate in the same cursor
+# order on both sides and float addition is monotone with non-negative
+# terms, so ub >= score holds exactly in float64.  This matters for pruning under score TIES
 # (replicated corpora, boilerplate pages): any positive margin makes a
 # tied block's ub exceed theta and forces its decode — a 1e-5 margin
 # cost 12x on dense queries over the x256 bench corpus.
-_I64MAX = np.iinfo(np.int64).max
 
 
 def split_not_terms(query_text: str) -> tuple[str, str]:
@@ -203,7 +201,7 @@ class _BlockCursor:
         self.term_i = term_i
         self.idf = idf
         # ``full``: this enc's already-decoded (ids, tfs, dense_idx) slice
-        # from the reader's postings LRU — decoded() then slices instead
+        # from the reader's term cache — decoded() then slices instead
         # of varint-decoding per search, and the dense positions skip the
         # per-window searchsorted (block decode was ~30% of a cached
         # reader's selective-query time, recurring every request)
@@ -215,30 +213,20 @@ class _BlockCursor:
         if cached is not None and cached[0] == avg_dl and cached[1] == idf:
             self.ub, self.rest = cached[2], cached[3]
         else:
-            if enc.imp_n is not None and enc.imp_n.size:
-                # v4 impact frontier: the block bound is the EXACT max
-                # per-doc tf_norm under the CURRENT avg_dl — max over the
-                # block's Pareto (tf, dl) pairs (codec.block_impact_frontier).
-                # Every pair is a real doc's (tf, dl), so a tied block's
-                # bound EQUALS theta bitwise and ``ub > theta`` pruning
-                # skips it — the cross-doc (max_tf, min_dl) pairing could
-                # not (its bound exceeded theta on nearly every block of a
-                # tie-heavy corpus).
-                off = np.concatenate(
-                    ([0], np.cumsum(enc.imp_n[:-1], dtype=np.int64)))
-                vals = bm25.tf_norm_vec(enc.imp_tf.astype(np.float64),
-                                        enc.imp_dl.astype(np.float64),
-                                        avg_dl)
-                bound = np.maximum.reduceat(vals, off)
-            else:
-                # legacy fallback (hand-built fixtures): raw
-                # (max_tf, min_dl) — tf_norm is increasing in tf /
-                # decreasing in dl, so tf_norm(max_tf, min_dl, avg_dl)
-                # bounds every posting in the block under the CURRENT
-                # global avg_dl (extend-safe — codec.py)
-                bound = bm25.tf_norm_vec(enc.block_max_tf.astype(np.float64),
-                                         enc.block_min_dl.astype(np.float64),
-                                         avg_dl)
+            # v4 impact frontier: the block bound is the EXACT max
+            # per-doc tf_norm under the CURRENT avg_dl — max over the
+            # block's Pareto (tf, dl) pairs (codec.block_impact_frontier).
+            # Every pair is a real doc's (tf, dl), so a tied block's
+            # bound EQUALS theta bitwise and ``ub > theta`` pruning
+            # skips it — the cross-doc (max_tf, min_dl) pairing could
+            # not (its bound exceeded theta on nearly every block of a
+            # tie-heavy corpus).
+            off = np.concatenate(
+                ([0], np.cumsum(enc.imp_n[:-1], dtype=np.int64)))
+            vals = bm25.tf_norm_vec(enc.imp_tf.astype(np.float64),
+                                    enc.imp_dl.astype(np.float64),
+                                    avg_dl)
+            bound = np.maximum.reduceat(vals, off)
             self.ub = idf * bound
             # suffix max of block ubs: rest_ub() bounds every posting this
             # cursor can still produce, enabling whole-query early
@@ -322,6 +310,25 @@ class _TopK:
                 for d, s in zip(self.docs, self.scores)]
 
 
+class _TermEntry:
+    """One term's decoded postings, concatenated over its (salt, shard)
+    rows: doc ids, tfs and dense local doc positions (``idx``), plus the
+    exhaustive scorer's final per-term scores ``(dense, vec)`` once
+    computed: head terms hold the dense per-doc f64 vector, rare terms
+    the per-posting scores.  Scores stay valid for the reader's lifetime
+    (idf, df and avg_dl are fixed per manifest; deletes mask candidates
+    without changing survivor scores).  ``charge`` is what the entry
+    holds against the reader's cache budget (posting-equivalents); it is
+    > 0 exactly while the entry is cached."""
+
+    __slots__ = ("ids", "tfs", "idx", "scores", "charge")
+
+    def __init__(self, ids: np.ndarray, tfs: np.ndarray, idx: np.ndarray):
+        self.ids, self.tfs, self.idx = ids, tfs, idx
+        self.scores: tuple[bool, np.ndarray] | None = None
+        self.charge = 0
+
+
 class IndexReader:
     """Loads manifest + doc-length table + segment rows for query serving.
 
@@ -339,14 +346,16 @@ class IndexReader:
         manifest and per-term GLOBAL df from ``termdict.parquet``, so scores
         from a subset reader equal the full reader's on its shards' docs.
 
-        ``cache_postings_budget``: if > 0, keep up to this many DECODED
-        postings (ids + tfs + dense doc positions) in an LRU keyed by term.
+        ``cache_postings_budget``: if > 0, keep decoded terms (ids + tfs +
+        dense doc positions, plus the exhaustive scorer's per-term scores)
+        in ONE LRU keyed by term, holding at most this many
+        posting-equivalents (a posting or a score element counts one).
         Off by default — a one-shot reader pays decode per query, which is
         the honest batch-latency number; long-lived query actors
         (pipelines/serve.py) turn it on because re-decoding the same head
         terms per request is wasted work (the reference's serving layer
         similarly keeps its whole index resident, ``api/combined.py:100-126``).
-        Memory cost ~20 bytes per cached posting.
+        Memory cost ~20 bytes per cached posting-equivalent.
 
         ``lazy``: don't read segment payloads at open.  Open cost becomes
         O(vocab) (term + df columns only); a term's posting rows are read
@@ -355,22 +364,11 @@ class IndexReader:
         needs).  Results are identical to eager mode (tested)."""
         self.index_dir = index_dir
         self._cache_budget = int(cache_postings_budget)
-        self._decoded: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        # per-term FINAL scores (idf * tf_norm, float64) for the
-        # exhaustive scorer — valid for this reader's lifetime (idf, df,
-        # avg_dl are fixed per manifest; deletes mask candidates without
-        # changing survivor scores).  Value is (dense?, arr): head terms
-        # store the dense per-doc vector, rare terms the per-posting
-        # scores.  Populated lazily, evicted with the owning _decoded
-        # entry.
-        self._tscores: dict[str, tuple[bool, np.ndarray]] = {}
-        # float32 twin of the dense _tscores vectors (+ per-term f64 max):
-        # the warm dense-query fast path accumulates and partitions in f32
-        # (HALF the memory traffic — under 32-way actor concurrency the
-        # scorer is LLC/DRAM-contention bound), then re-ranks an
-        # error-bounded threshold band exactly in f64, so results stay
-        # bit-identical to the f64 path (see _fast_or_topk32)
-        self._tscores32: dict[str, tuple[np.ndarray, float]] = {}
+        # the term cache: insertion order is recency order (oldest first);
+        # _charge is the only place it grows, _term the only reader
+        self._terms: dict[str, _TermEntry] = {}
+        self._cached_postings = 0  # sum of the cached entries' charges
+        self._evictions = 0
         # reusable per-thread score-accumulation buffer: a fresh 5-40 MB
         # calloc per query re-faults its pages every time; at 32
         # concurrent query actors the scorer is MEMORY-BANDWIDTH bound,
@@ -378,7 +376,6 @@ class IndexReader:
         self._score_tls = _threading.local()
         self._sorted_vocab: list[str] | None = None  # lazy, for prefix expansion
         self.last_wand_stats: dict | None = None  # set by search_wand
-        self._cached_postings = 0
         self.manifest = ckpt.read_json(os.path.join(index_dir, "manifest.json"))
         fv = self.manifest.get("format_version")
         if fv != FORMAT_VERSION:
@@ -581,32 +578,49 @@ class IndexReader:
     def idf(self, term: str) -> float:
         return bm25.idf(self.n_docs, self._df.get(term, 0))
 
-    def _term_postings(self, t: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, tfs, dense_idx) for a term, concatenated over its
-        (salt, shard) rows; LRU-cached when a cache budget is set."""
-        hit = self._decoded.get(t)
-        if hit is not None:
-            self._decoded[t] = self._decoded.pop(t)  # LRU touch
-            return hit
+    def _term(self, t: str) -> _TermEntry:
+        """The term cache's one accessor, for every path that reads a
+        term's postings: a hit moves the entry to the most-recent end; a
+        miss decodes the term and caches it if it fits (budget-0 readers
+        get an uncached entry every call)."""
+        e = self._terms.pop(t, None)
+        if e is not None:
+            self._terms[t] = e
+            return e
         parts = [decode_postings(enc) for enc in self._encs(t)]
         ids = np.concatenate([p[0] for p in parts])
-        tfs = np.concatenate([p[1] for p in parts])
-        idx = np.searchsorted(self._doc_ids, ids)
-        if self._cache_budget > 0:
-            while (self._decoded and
-                   self._cached_postings + ids.size > self._cache_budget):
-                oldest = next(iter(self._decoded))
-                self._cached_postings -= self._decoded.pop(oldest)[0].size
-                ts = self._tscores.pop(oldest, None)
-                if ts is not None:
-                    self._cached_postings -= ts[1].size
-                t32 = self._tscores32.pop(oldest, None)
-                if t32 is not None:
-                    self._cached_postings -= t32[0].size // 2
-            if ids.size <= self._cache_budget:
-                self._decoded[t] = (ids, tfs, idx)
-                self._cached_postings += ids.size
-        return ids, tfs, idx
+        e = _TermEntry(ids, np.concatenate([p[1] for p in parts]),
+                       np.searchsorted(self._doc_ids, ids))
+        self._charge(t, e, ids.size)
+        return e
+
+    def _charge(self, t: str, e: _TermEntry, n: int) -> bool:
+        """Charge ``n`` posting-equivalents to ``t``'s entry ``e``,
+        caching ``e`` if it is new.  The only place the cache grows:
+        evicts least-recently-used entries (never ``e``) until the budget
+        holds.  Returns False, changing nothing, when ``e`` plus ``n``
+        cannot fit the budget at all."""
+        if not 0 < e.charge + n <= self._cache_budget:
+            return False
+        while self._cached_postings + n > self._cache_budget:
+            old = next(o for o in self._terms if o != t)
+            ev = self._terms.pop(old)
+            self._cached_postings -= ev.charge
+            ev.charge = 0
+            self._evictions += 1
+        e.charge += n
+        self._cached_postings += n
+        self._terms[t] = e
+        return True
+
+    def cache_stats(self) -> dict:
+        """Term-cache occupancy: cached terms, charged posting-equivalents
+        against the budget, and evictions so far (a count that climbs
+        with steady traffic means the working set does not fit)."""
+        return {"terms": len(self._terms),
+                "postings": self._cached_postings,
+                "budget": self._cache_budget,
+                "evictions": self._evictions}
 
     def query_terms(self, query_text: str) -> list[str]:
         """Unique query terms, first-occurrence order.  OOV terms simply have
@@ -722,7 +736,7 @@ class IndexReader:
 
         Cost: one postings decode per excluded term — O(df) per term, the
         standard price of NOT in an inverted index; shard-subset actors
-        each pay only their local df.  The decoded-postings LRU makes a
+        each pay only their local df.  The term cache makes a
         repeated exclusion term free.  Composes with :meth:`make_doc_mask`
         by AND (both are local-position masks).  ``word*`` wildcards in the
         exclusion expand from the dictionary (always OR semantics: a doc
@@ -734,8 +748,7 @@ class IndexReader:
             return None
         mask = np.ones(self._doc_ids.size, dtype=bool)
         for t in terms:
-            _, _, idx = self._term_postings(t)
-            mask[idx] = False
+            mask[self._term(t).idx] = False
         return mask
 
     def _mask_with_exclude(self, mask: np.ndarray | None,
@@ -770,63 +783,6 @@ class IndexReader:
 
     # -------------------------------------------------------- exhaustive ---
 
-    def _fast_or_topk32(self, terms: list[str], k: int,
-                        n_local: int) -> "list[TopkResult] | None":
-        """Warm unfiltered-OR fast path: accumulate + partition in
-        FLOAT32 (half the memory traffic of the f64 path — the measured
-        bottleneck under 32-way actor concurrency is shared-cache/DRAM
-        contention), then re-rank an error-bounded threshold band
-        EXACTLY in f64, so results are bit-identical to the f64 path.
-
-        Error bound: each doc's f32 accumulated score differs from its
-        f64 value by at most n_terms rounding steps of at most
-        ulp(S_bound) each (plus one cast error per term, same order),
-        where S_bound = sum of per-term max scores >= any accumulated
-        value.  eps = 2 * n_terms * S_bound * 2^-20 is ~8x that worst
-        case (f32 ulp is 2^-23 relative), so every doc whose TRUE score
-        ties-or-beats the true k-th threshold lands in the band.  The
-        band is then scored exactly by gathering the f64 cached vectors
-        at the band's indices (O(band * terms) work).  Returns None
-        (caller takes the generic path) when any term lacks a cached
-        dense f32 vector, when the f32 threshold is within eps of zero
-        (fewer than k well-separated matches), or when the band blows
-        past a sanity cap (pathological tie plateau)."""
-        vecs: list[np.ndarray] = []
-        s_bound = 0.0
-        for t in terms:
-            h = self._tscores32.get(t)
-            if h is None:
-                return None
-            vecs.append(h[0])
-            s_bound += h[1]
-        buf = getattr(self._score_tls, "buf32", None)
-        if buf is None or buf.size != n_local:
-            buf = np.empty(n_local, np.float32)
-            self._score_tls.buf32 = buf
-        np.copyto(buf, vecs[0])
-        for v in vecs[1:]:
-            buf += v
-        part = np.argpartition(buf, n_local - k)
-        thr32 = float(buf[part[n_local - k]])
-        eps = 2.0 * max(len(terms), 1) * max(s_bound, 1e-9) * 2.0**-20
-        if thr32 <= eps:
-            return None
-        cand = np.flatnonzero(buf >= np.float32(thr32 - eps))
-        if cand.size > max(4096, 64 * k):
-            return None  # tie plateau — let the exact path handle it
-        agg = self._tscores[terms[0]][1][cand].copy()
-        for t in terms[1:]:
-            agg += self._tscores[t][1][cand]
-        if cand.size > k:
-            p2 = np.argpartition(-agg, k - 1)
-            thr = agg[p2[k - 1]]
-            keep = agg >= thr
-            cand, agg = cand[keep], agg[keep]
-        order = np.lexsort((self._doc_ids[cand], -agg))[:k]
-        cand, agg = cand[order], agg[order]
-        return [TopkResult(int(self._doc_ids[i]), float(s))
-                for i, s in zip(cand, agg)]
-
     def search_exhaustive(self, query_text: str, k: int = 10,
                           mode: str = "or",
                           mask: np.ndarray | None = None,
@@ -855,55 +811,41 @@ class IndexReader:
         if not terms:
             return []
         n_local = self._doc_ids.size
-        if mode != "and" and mask is None and after is None and n_local > k:
-            fast = self._fast_or_topk32(terms, k, n_local)
-            if fast is not None:
-                return fast
         agg: np.ndarray | None = None
         hits = np.zeros(n_local, dtype=np.int16) if mode == "and" else None
         for t in terms:
             # one decode + lookup per TERM, not per (salt, shard) row — head
             # terms fan out to num_salts * num_shards rows and the per-row
             # numpy fixed cost dominated dense-query latency
-            ids, tfs, idx = self._term_postings(t)
-            hit = self._tscores.get(t)
+            e = self._term(t)
+            idx = e.idx
+            hit = e.scores
             cached = hit is not None
             if hit is None:
                 dls = self._doc_lens[idx]
-                s = bm25.score_vec(self.idf(t), tfs, dls, self.avg_dl)
+                s = bm25.score_vec(self.idf(t), e.tfs, dls, self.avg_dl)
                 # head terms (df >= n/8) cache the DENSE per-doc score
                 # vector: the per-query bincount scatter (~5x a vector
                 # add) collapses to one add.  At the df = n/8 boundary
                 # the dense form is up to 8x the sparse scores, so its
-                # TRUE element count is charged to the postings budget
-                # (eviction below stays in lockstep with _decoded).
+                # TRUE element count is charged to the term's entry.
                 # Values are the bincount output either way — bitwise
                 # identical results.
                 dense = idx.size >= max(1, n_local // 8)
                 d = np.bincount(idx, weights=s, minlength=n_local) \
                     if dense else s
-                if t in self._decoded:  # cache only what the LRU retained
-                    self._tscores[t] = (dense, d)
-                    self._cached_postings += d.size
-                    cached = True
-                    # f32 twin for the warm fast path — only when it fits
-                    # WITHOUT pushing the budget over (an over-budget
-                    # working set thrashes the LRU on every decode; better
-                    # a partially-active fast path than global thrash)
-                    if dense and (self._cached_postings + d.size // 2
-                                  <= self._cache_budget):
-                        self._tscores32[t] = (
-                            d.astype(np.float32),
-                            float(d.max()) if d.size else 0.0)
-                        self._cached_postings += d.size // 2
                 hit = (dense, d)
+                # only a cached entry takes scores (charge > 0)
+                if e.charge and self._charge(t, e, d.size):
+                    e.scores = hit
+                    cached = True
             v = hit[1] if hit[0] \
                 else np.bincount(idx, weights=hit[1], minlength=n_local)
             # the dense-vector add chain is pure memory traffic; skip the
             # zeros memset by seeding agg from the first term — stealing
             # the bincount output when it is query-local, copying into
-            # the reusable thread-local buffer when it is (or may become)
-            # a cache entry that later adds must not mutate
+            # the reusable thread-local buffer when it is a cache entry
+            # that later adds must not mutate
             if agg is None:
                 if hit[0] and cached:
                     # v IS the cached dense vector — copy, don't mutate
@@ -969,7 +911,7 @@ class IndexReader:
                max_expansions: int | None = 64) -> list[TopkResult]:
         """Cost-based scorer choice.  A reader with a postings-cache
         budget (the serving config) always uses the cached exhaustive
-        scorer — its LRUs amortize decode + scoring across requests.
+        scorer — its term cache amortizes decode + scoring across requests.
         A budget-0 one-shot reader uses block-max WAND when terms are
         selective (decode only the blocks the bounds can't prune) and
         the single-pass vectorized exhaustive scorer on dense lists
@@ -990,7 +932,7 @@ class IndexReader:
             return []
         # Serving config (postings cache budget set): the exhaustive
         # scorer amortizes decode + scoring across requests via the
-        # postings/score LRUs, beating WAND's per-request window machinery
+        # term cache, beating WAND's per-request window machinery
         # in EVERY measured regime (x16: 4.4 vs 12.6 ms selective p50;
         # x256: 4.4 vs 12.6) — WAND's decode-avoidance only wins for
         # budget-0 one-shot readers, where nothing is amortized.
@@ -1020,9 +962,9 @@ class IndexReader:
         dl = int(self._doc_lens[pos])
         parts, total = [], 0.0
         for t in self._effective_terms(query_text, "or") or []:
-            _, tfs, idx = self._term_postings(t)
-            hit = np.flatnonzero(idx == pos)
-            tf = int(tfs[hit].sum()) if hit.size else 0
+            e = self._term(t)
+            hit = np.flatnonzero(e.idx == pos)
+            tf = int(e.tfs[hit].sum()) if hit.size else 0
             s = float(bm25.score_vec(self.idf(t), np.array([tf]),
                                      np.array([dl]), self.avg_dl)[0]) \
                 if tf else 0.0
@@ -1036,8 +978,7 @@ class IndexReader:
                     self._rewrite_wildcards(exclude, "or")):
                 if not self._has_term(t):
                     continue
-                _, _, idx = self._term_postings(t)
-                if (idx == pos).any():
+                if (self._term(t).idx == pos).any():
                     excluded_by.append(t)
         return {"doc_id": doc_id, "doc_len": dl, "total": total,
                 "parts": parts, "excluded_by": excluded_by}
@@ -1078,15 +1019,14 @@ class IndexReader:
             # one-shot / at-scale path).
             full = None
             if self._cache_budget > 0 and encs:
-                ids_all, tfs_all, idx_all = self._term_postings(t)
+                e = self._term(t)
                 off = np.concatenate(
-                    ([0], np.cumsum([e.df for e in encs], dtype=np.int64)))
+                    ([0], np.cumsum([x.df for x in encs], dtype=np.int64)))
             for ei, enc in enumerate(encs):
                 if enc.df:
                     if self._cache_budget > 0:
                         lo, hi = int(off[ei]), int(off[ei + 1])
-                        full = (ids_all[lo:hi], tfs_all[lo:hi],
-                                idx_all[lo:hi])
+                        full = (e.ids[lo:hi], e.tfs[lo:hi], e.idx[lo:hi])
                     cursors.append(_BlockCursor(enc, ti, idf_t, self.avg_dl,
                                                 full=full))
         topk = _TopK(k)
@@ -1322,13 +1262,13 @@ class IndexReader:
         # BM25 over the phrase's unique terms, restricted to matched docs
         scores = np.zeros(matched.size)
         for t in dict.fromkeys(seq):
-            ids, tfs, idx = self._term_postings(t)
-            loc = np.searchsorted(matched, idx)
+            e = self._term(t)
+            loc = np.searchsorted(matched, e.idx)
             loc[loc == matched.size] = matched.size - 1
-            hit = matched[loc] == idx
-            dls = self._doc_lens[idx[hit]]
+            hit = matched[loc] == e.idx
+            dls = self._doc_lens[e.idx[hit]]
             scores[loc[hit]] += bm25.score_vec(
-                self.idf(t), tfs[hit], dls, self.avg_dl)
+                self.idf(t), e.tfs[hit], dls, self.avg_dl)
         order = np.lexsort((self._doc_ids[matched], -scores))[:k]
         return [TopkResult(int(self._doc_ids[matched[i]]), float(scores[i]))
                 for i in order]

@@ -53,18 +53,17 @@ class QueryShardActor:
     list changes, so a running actor masks docs deleted after it opened."""
 
     def __init__(self, index_dir: str, shard_names: list[str],
-                 cache_postings_budget: int = 32_000_000,
+                 cache_postings_budget: int = 20_000_000,
                  lazy: bool = False):
-        # long-lived actor: cache decoded postings for hot terms (~20B per
-        # posting -> default budget ~640MB/actor; the reference's serving
-        # process similarly holds its index resident).  The budget unit is
-        # posting-EQUIVALENTS: a head term charges postings + f64 dense
-        # score vector + its f32 twin (~2.5 n_local per term), so the
-        # default is sized to hold the same hot-term count as the
-        # pre-f32-twin 20M default — an undersized budget THRASHES (evict/
-        # re-decode per query: measured 12x collapse), it does not degrade
-        # gracefully.  lazy=True starts serving immediately and faults
-        # posting row groups in on demand.
+        # long-lived actor: cache decoded hot terms (~20B per posting-
+        # equivalent -> default budget ~400MB/actor; the reference's
+        # serving process similarly holds its index resident).  A head
+        # term charges its postings plus its f64 dense score vector
+        # (~2 n_local), so an undersized budget THRASHES (evict/re-decode
+        # per query: measured 12x collapse) rather than degrading
+        # gracefully — stats()["term_cache"]["evictions"] shows it.
+        # lazy=True starts serving immediately and faults posting row
+        # groups in on demand.
         self.reader = IndexReader(index_dir, shard_subset=shard_names,
                                   cache_postings_budget=cache_postings_budget,
                                   lazy=lazy)
@@ -177,7 +176,8 @@ class QueryShardActor:
         n_terms = len(r._loc) if r._lazy else len(r._postings)
         return {"shards": self._shards,
                 "n_docs_local": int(r._doc_ids.size),
-                "n_terms_local": n_terms}
+                "n_terms_local": n_terms,
+                "term_cache": r.cache_stats()}
 
 
 class DistributedSearcher:

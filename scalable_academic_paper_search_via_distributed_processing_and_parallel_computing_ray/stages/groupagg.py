@@ -144,121 +144,3 @@ def sorted_groupby_agg(ds: Dataset, keys: list[str],
         {f: pa.array([r[i] for r in rows], t)
          for i, (f, t) in enumerate(fields)})
     return ray.data.from_arrow_refs(interior_refs + [ray.put(boundary)])
-
-
-# ------------------------------------------------- sorted map-groups -------
-
-@ray.remote(num_returns=2)
-def _block_runs(blk, keys: list, fn, passthrough_single: bool, *fn_args):
-    """-> (interior_output_or_None, (first_run_tbl, last_run_tbl, single)).
-
-    Splits one SORTED block into key-runs.  Interior runs (fully contained
-    in the block) are transformed with ``fn`` here; the first and last run
-    may continue into neighbor blocks, so their RAW rows go back to the
-    driver for stitching.  When ``passthrough_single``, interior single-row
-    runs skip ``fn`` and are emitted with one vectorized ``take`` (the
-    dominant case in segment compaction: a term present in only one source
-    shard re-encodes byte-identically)."""
-    blk = as_arrow_block(blk)
-    n = blk.num_rows
-    kcols = [blk[k].to_numpy(zero_copy_only=False) for k in keys]
-    change = np.zeros(n, dtype=bool)
-    change[0] = True
-    for kc in kcols:
-        change[1:] |= kc[1:] != kc[:-1]
-    starts = np.flatnonzero(change)
-    ends = np.r_[starts[1:], n]
-    m = len(starts)
-    first_tbl = blk.slice(0, ends[0])
-    last_tbl = blk.slice(starts[-1], n - starts[-1])
-    if m <= 2:
-        return None, (first_tbl, last_tbl, m == 1)
-    s_int, e_int = starts[1:-1], ends[1:-1]
-    outs = []
-    if passthrough_single:
-        single = (e_int - s_int) == 1
-        if single.any():
-            outs.append(blk.take(s_int[single]))
-        s_int, e_int = s_int[~single], e_int[~single]
-    outs.extend(fn(blk.slice(s, e - s), *fn_args)
-                for s, e in zip(s_int, e_int))
-    out = pa.concat_tables(outs, promote_options="default") if outs \
-        else None
-    return out, (first_tbl, last_tbl, False)
-
-
-def sorted_map_groups(ds: Dataset, keys: list[str], fn,
-                      fn_args: tuple = (),
-                      passthrough_single: bool = False) -> Dataset:
-    """``ds.groupby(keys).map_groups(fn)`` via ONE sort + per-block run
-    splitting — the same boundary-carry discipline as
-    :func:`sorted_groupby_agg`, for an arbitrary per-group ``fn``.
-
-    Ray's ``map_groups`` materializes ONE BLOCK PER GROUP (19k one-row
-    blocks on a 20k-row segment compaction — ~6 s of pure block overhead
-    at 32 CPUs); here each sorted block is processed whole and only the
-    O(2 x blocks) boundary runs are stitched on the driver.  Group output
-    ORDER is not preserved (callers here write partitioned parquet or
-    re-aggregate).  ``fn(group_table, *fn_args) -> pa.Table``;
-    ``fn_args`` may contain ``ray.ObjectRef``s — they are passed as
-    top-level task args so Ray de-references them zero-copy per task
-    (broadcast once, never pickled into the closure).
-    ``passthrough_single`` asserts fn(single_row_group) == that row
-    (byte-identical passthrough) and skips the call.
-
-    STATUS: a public operator with pytest coverage but no production
-    caller — segment compaction moved past it to the whole-row-group
-    range planner (``build._merge_range``: footer-only planning, no
-    corpus sort), and the build wave keeps Ray's ``map_groups`` because
-    its groups stream straight out of the salted sort (this operator's
-    ``materialize()`` would break the fused wave's streaming).  Kept for
-    callers needing a generic many-small-groups ``map_groups`` without
-    Ray's one-block-per-group overhead."""
-    s = ds.sort(keys).materialize()
-    refs = nonempty_block_refs(s)
-    if not refs:
-        return s
-    outs = [_block_runs.remote(r, keys, fn, passthrough_single, *fn_args)
-            for r in refs]
-    metas = ray.get([o[1] for o in outs])
-
-    local_args = tuple(ray.get(a) if isinstance(a, ray.ObjectRef) else a
-                       for a in fn_args)
-
-    def _key(t: pa.Table) -> tuple:
-        return tuple(t[k][0].as_py() for k in keys)
-
-    groups: list[pa.Table] = []
-    pending: pa.Table | None = None
-    for first_tbl, last_tbl, single in metas:
-        if pending is not None and _key(pending) == _key(first_tbl):
-            pending = pa.concat_tables([pending, first_tbl],
-                                       promote_options="default")
-        else:
-            if pending is not None:
-                groups.append(pending)
-            pending = first_tbl
-        if not single:
-            groups.append(pending)
-            pending = last_tbl
-    if pending is not None:
-        groups.append(pending)
-    bout = [r for g in groups
-            for r in (g if passthrough_single and g.num_rows == 1
-                      else fn(g, *local_args),)]
-    bout = [t for t in bout if t.num_rows]
-    interior_refs = [o[0] for o in outs]
-    has_interior = ray.get(
-        [_ref_nonempty.remote(r) for r in interior_refs])
-    keep = [r for r, h in zip(interior_refs, has_interior) if h]
-    if bout:
-        keep.append(ray.put(pa.concat_tables(bout,
-                                             promote_options="default")))
-    if not keep:
-        return s.limit(0)
-    return ray.data.from_arrow_refs(keep)
-
-
-@ray.remote
-def _ref_nonempty(t) -> bool:
-    return t is not None and t.num_rows > 0

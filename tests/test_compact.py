@@ -275,7 +275,10 @@ def test_merge_groups_batched_rejects_duplicate_ids():
         "block_min_dl": pa.array([e.block_min_dl.tolist()] * 2,
                                  pa.list_(pa.int32())),
         "pos_bytes": pa.array([b"", b""], pa.binary()),
-        "block_pos_off": pa.array([[0], [0]], pa.list_(pa.int32()))}
+        "block_pos_off": pa.array([[0], [0]], pa.list_(pa.int32())),
+        "imp_tf": pa.array([e.imp_tf.tolist()] * 2, pa.list_(pa.int64())),
+        "imp_dl": pa.array([e.imp_dl.tolist()] * 2, pa.list_(pa.int32())),
+        "imp_n": pa.array([e.imp_n.tolist()] * 2, pa.list_(pa.int32()))}
     t = pa.table(row)
     starts = np.array([0])
     ends = np.array([2])

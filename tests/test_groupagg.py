@@ -48,76 +48,3 @@ def test_empty_input(ray_session):
     out = sorted_groupby_agg(rd.from_arrow(t), ["k"], [("v", "sum", "s")])
     assert out.count() == 0
     assert set(out.schema().names) == {"k", "s"}
-
-
-def test_sorted_map_groups_matches_groupby(ray_session):
-    """sorted_map_groups(fn) == ds.groupby().map_groups(fn) semantics
-    (order-insensitive), across block boundaries, with a group spanning
-    many blocks and single-row passthrough."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.stages.groupagg import (
-        sorted_map_groups,
-    )
-
-    rng = np.random.default_rng(7)
-    n = 5000
-    # skewed keys: one giant group (spans blocks after the sort), many
-    # singletons (exercise the passthrough), mid-size groups
-    keys = np.concatenate([np.zeros(1500, np.int64),
-                           rng.integers(1, 400, 2500),
-                           np.arange(10_000, 11_000)])
-    rng.shuffle(keys)
-    vals = rng.integers(0, 1000, keys.size)
-    t = pa.table({"k": keys, "v": vals})
-    ds = rd.from_arrow(t).repartition(13)
-
-    def fn(g: pa.Table) -> pa.Table:
-        # non-reduceat-able custom per-group transform: key, count, and a
-        # value-order-insensitive checksum
-        v = np.sort(g["v"].to_numpy(zero_copy_only=False))
-        chk = int((v * np.arange(1, v.size + 1)).sum())
-        return pa.table({"k": g["k"].slice(0, 1),
-                         "cnt": pa.array([g.num_rows], pa.int64()),
-                         "chk": pa.array([chk], pa.int64())})
-
-    got = sorted_map_groups(ds, ["k"], fn).to_pandas() \
-        .sort_values("k").reset_index(drop=True)
-    exp = []
-    df = t.to_pandas()
-    for k, grp in df.groupby("k"):
-        v = np.sort(grp["v"].to_numpy())
-        exp.append((k, len(grp), int((v * np.arange(1, v.size + 1)).sum())))
-    exp = pd.DataFrame(exp, columns=["k", "cnt", "chk"]) \
-        .sort_values("k").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got.astype("int64"), exp.astype("int64"))
-
-
-def test_sorted_map_groups_passthrough_single(ray_session):
-    """passthrough_single skips fn for 1-row groups (byte-identical) and
-    still applies it to multi-row groups."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.stages.groupagg import (
-        sorted_map_groups,
-    )
-
-    t = pa.table({"k": pa.array([1, 1, 2, 3, 4, 4, 4], pa.int64()),
-                  "v": pa.array([10, 20, 5, 7, 1, 2, 3], pa.int64())})
-
-    def fn(g: pa.Table) -> pa.Table:
-        assert g.num_rows > 1, "fn must not see single-row groups"
-        return pa.table({"k": g["k"].slice(0, 1),
-                         "v": pa.array(
-                             [int(g["v"].to_numpy().sum())], pa.int64())})
-
-    got = sorted_map_groups(rd.from_arrow(t).repartition(3), ["k"], fn,
-                            passthrough_single=True).to_pandas() \
-        .sort_values("k").reset_index(drop=True)
-    assert got["k"].tolist() == [1, 2, 3, 4]
-    assert got["v"].tolist() == [30, 5, 7, 6]

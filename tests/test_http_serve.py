@@ -155,6 +155,12 @@ def test_explain_and_stats(http_base):
     _, root = _get(http_base, "/")
     shards = sorted(s for a in st["actors"] for s in a["shards"])
     assert shards == [f"shard-{i:04d}" for i in range(root["shards"])]
+    # the searches above went through each actor's term cache
+    caches = [a["term_cache"] for a in st["actors"]]
+    assert all(set(c) == {"terms", "postings", "budget", "evictions"}
+               for c in caches), caches
+    assert all(0 < c["postings"] <= c["budget"] for c in caches), caches
+    assert all(c["terms"] >= 1 and c["evictions"] == 0 for c in caches)
 
 
 def test_bad_requests_dont_kill_server(http_base):

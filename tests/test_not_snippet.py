@@ -26,7 +26,7 @@ def _fmt(results):
 
 
 def _docs_with(reader, term):
-    _, _, idx = reader._term_postings(term)
+    idx = reader._term(term).idx
     return set(int(reader._doc_ids[i]) for i in idx)
 
 

@@ -63,7 +63,7 @@ def test_wildcard_in_exclusion(reader):
     assert a == b
     banned = set()
     for t in exp:
-        _, _, idx = reader._term_postings(t)
+        idx = reader._term(t).idx
         banned |= {int(reader._doc_ids[i]) for i in idx}
     assert all(d not in banned for d, _ in a)
 
