@@ -489,7 +489,7 @@ def serve_only(idx_dir: str) -> dict:
     from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.sources import (
         pages,
     )
-    state = ServeState(idx_dir, num_actors=NUM_CPUS, batch_window_ms=2.0)
+    state = ServeState(idx_dir, num_actors=NUM_CPUS)
     searcher = state.searcher
     dense = [q for q in pages.QUERY_SET
              if q["query_id"] in (0, 1, 2, 6, 7)]
@@ -498,10 +498,9 @@ def serve_only(idx_dir: str) -> dict:
             searcher.search(q["query_text"], q["k"], q["mode"])
     n_req = 960  # fixed TOTAL work at both levels
     qs = [dense[i % len(dense)] for i in range(n_req)]
-    # bulk throughput: ONE batched call per actor for the whole list —
-    # measures the scoring TIER.  (Interactive per-request scatter-gather
-    # through this single router process is bounded by the router's
-    # Python loop, which a deployment replicates horizontally; measured
+    # bulk throughput: ONE graph execution for the whole list — measures
+    # the scoring TIER.  (Interactive requests go through this single
+    # router process; concurrent ones share graph executions.  Measured
     # alongside for transparency.)
     t0 = time.time()
     searcher.search_many(qs)
@@ -511,25 +510,12 @@ def serve_only(idx_dir: str) -> dict:
         list(ex.map(lambda q: searcher.search(
             q["query_text"], q["k"], q["mode"]), qs[:160]))
         inter_dt = time.time() - t0
-    # interactive with request micro-batching (the 2 ms window set at
-    # construction): concurrent requests share one scatter, so the
-    # router's O(actors) per-request cost amortizes — the deployable
-    # fix for the fan-out degradation.  (Plain .search above ignores
-    # the window, so the unbatched measurement is unaffected.)
-    with ThreadPoolExecutor(2 * NUM_CPUS) as ex:
-        list(ex.map(lambda q: searcher.search_batched(
-            q["query_text"], q["k"], q["mode"]), qs[:64]))  # warm gate
-        t0 = time.time()
-        list(ex.map(lambda q: searcher.search_batched(
-            q["query_text"], q["k"], q["mode"]), qs[:320]))
-        batched_dt = time.time() - t0
     state.shutdown()
     ray.shutdown()
     return {"num_cpus": NUM_CPUS, "num_actors": NUM_CPUS,
             "requests": n_req, "secs": round(bulk_dt, 3),
             "qps": round(n_req / bulk_dt, 1),
-            "interactive_qps": round(160 / inter_dt, 1),
-            "interactive_batched_qps": round(320 / batched_dt, 1)}
+            "interactive_qps": round(160 / inter_dt, 1)}
 
 
 def run_scaling_serve() -> dict:
@@ -565,8 +551,6 @@ def run_scaling_serve() -> dict:
         out[f"serve_qps_{n}"] = best["qps"]
         out[f"serve_secs_{n}"] = best["secs"]
         out[f"serve_interactive_qps_{n}"] = best["interactive_qps"]
-        out[f"serve_interactive_batched_qps_{n}"] = \
-            best["interactive_batched_qps"]
     out["serve_scaling_efficiency"] = round(
         (out["serve_qps_32"] / out["serve_qps_8"]) / (32 / 8), 3)
     return out

@@ -59,8 +59,7 @@ def _serve_loop(ray, args, stdin, stdout) -> int:
     a bad request)."""
     from .pipelines.serve_front import ServeState
     state = ServeState(args.index, num_actors=args.actors, lazy=args.lazy,
-                       analytics_dir=args.analytics,
-                       batch_window_ms=args.batch_window_ms)
+                       analytics_dir=args.analytics)
 
     def respond(obj) -> None:
         stdout.write(json.dumps(obj) + "\n")
@@ -173,12 +172,6 @@ def main(argv: list[str] | None = None) -> int:
     v.add_argument("--analytics", default=None,
                    help="analytics dir for the enrich op (pipelines.enrich)")
     v.add_argument("--lazy", action="store_true")
-    v.add_argument("--batch-window-ms", type=float, default=0.0,
-                   help="micro-batch concurrent plain searches: requests "
-                   "arriving within this window share ONE batched "
-                   "scatter to the shard actors (amortizes the router's "
-                   "O(actors) per-request cost under load; adds up to "
-                   "the window in latency at idle). 0 = off")
 
     dl = sub.add_parser("delete", help="tombstone-delete doc ids from a "
                         "live index (Lucene-style soft delete; compaction "

@@ -313,7 +313,7 @@ def _input_schema_names(first_file: str) -> list[str]:
         opener = gzip.open if first_file.endswith(".gz") else open
         with opener(first_file, "rt") as f:
             return list(_json.loads(f.readline()).keys())
-    return list(pq.ParquetFile(first_file).schema_arrow.names)
+    return list(fsio.pq_file(first_file).schema_arrow.names)
 
 
 def _read_corpus(files: list[str], cols: list[str],

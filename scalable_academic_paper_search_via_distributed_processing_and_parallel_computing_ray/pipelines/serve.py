@@ -19,8 +19,11 @@ the manifest (N, avg_dl) and per-term global df rides ``termdict.parquet``
 from __future__ import annotations
 
 import os
+import threading
+import traceback
 
 import ray
+from ray.exceptions import RayTaskError
 
 from ..state import fsio
 from .query import IndexReader, TopkResult, load_tombstones
@@ -48,22 +51,25 @@ class QueryShardActor:
     """Holds a subset of index shards; state loads once per actor
     (reference ST3 pattern, SURVEY.md §2.3).
 
-    Query calls carry the caller's tombstone file list (the manifest's
+    Every op that touches the reader arrives through :meth:`call`, the one
+    method :class:`DistributedSearcher`'s compiled graph binds, so all of
+    them run on the graph's one execution thread.  A plain ``.remote()``
+    call runs on a second actor thread, concurrently with a graph call, and
+    would race the reader's term-cache LRU and live-mask; only the
+    read-only :meth:`stats` is called that way.
+
+    Query ops carry the caller's tombstone file list (the manifest's
     ``tombstone_files``); the actor reloads its live-mask only when that
     list changes, so a running actor masks docs deleted after it opened."""
 
     def __init__(self, index_dir: str, shard_names: list[str],
                  cache_postings_budget: int = 20_000_000,
                  lazy: bool = False):
-        # long-lived actor: cache decoded hot terms (~20B per posting-
-        # equivalent -> default budget ~400MB/actor; the reference's
-        # serving process similarly holds its index resident).  A head
-        # term charges its postings plus its f64 dense score vector
-        # (~2 n_local), so an undersized budget THRASHES (evict/re-decode
-        # per query: measured 12x collapse) rather than degrading
-        # gracefully — stats()["term_cache"]["evictions"] shows it.
-        # lazy=True starts serving immediately and faults posting row
-        # groups in on demand.
+        # decoded hot terms, ~20 B per posting -> ~400 MB/actor by default.
+        # A head term also charges its dense score vector, so an
+        # undersized budget thrashes (measured 12x collapse), as
+        # stats()["term_cache"]["evictions"] shows.  lazy=True serves at
+        # once and faults posting row groups in on demand.
         self.reader = IndexReader(index_dir, shard_subset=shard_names,
                                   cache_postings_budget=cache_postings_budget,
                                   lazy=lazy)
@@ -71,6 +77,21 @@ class QueryShardActor:
         self._ts_files = tuple(self.reader.manifest.get("tombstone_files",
                                                         []))
         self._masks: dict[str, "object"] = {}
+
+    def call(self, calls: list[tuple[str, tuple]]) -> list:
+        """Run each ``(op, args)`` as ``_op_<op>(*args)``, in order:
+        ``search``, ``phrase``, ``explain``, ``suggest``,
+        ``register_filter`` or ``drop_filter``.  An op that raises yields
+        its ``RayTaskError`` in its place, so it fails only its own
+        request, not the others that share the execution."""
+        out = []
+        for op, args in calls:
+            try:
+                out.append(getattr(self, f"_op_{op}")(*args))
+            except Exception as exc:  # noqa: BLE001 — returned, not lost
+                out.append(RayTaskError(f"QueryShardActor.{op}",
+                                        traceback.format_exc(), exc))
+        return out
 
     def _sync_tombstones(self, ts_files: tuple[str, ...] | None) -> None:
         """Follow the caller's tombstone generation: O(deleted), and only
@@ -90,64 +111,44 @@ class QueryShardActor:
         self.reader.set_tombstones(ts)
         self._ts_files = tuple(ts_files)
 
-    def register_filter(self, filter_id: str, allowed_ids) -> int:
-        """Build + cache this actor's LOCAL doc mask for a named filter.
-        ``allowed_ids`` arrives via one driver-side ``ray.put`` (broadcast:
-        every actor reads the same object-store copy); the stored mask is
-        O(local docs) booleans.  Returns the local allowed-doc count."""
-        mask = self.reader.make_doc_mask(allowed_ids)
+    def _op_register_filter(self, filter_id: str, allowed_ref) -> int:
+        """Cache this actor's LOCAL doc mask (O(local docs) booleans) for a
+        named filter from ``allowed_ref``, one driver-side ``ray.put`` of
+        the allowed ids.  Returns the local allowed-doc count."""
+        mask = self.reader.make_doc_mask(ray.get(allowed_ref))
         self._masks[filter_id] = mask
         return int(mask.sum())
 
-    def drop_filter(self, filter_id: str) -> None:
+    def _op_drop_filter(self, filter_id: str) -> None:
         self._masks.pop(filter_id, None)
 
-    def search(self, query_text: str, k: int, mode: str,
-               method: str = "auto",
-               filter_id: str | None = None,
-               exclude: str | None = None,
-               after: tuple[float, int] | None = None,
-               ts_files: tuple[str, ...] | None = None
-               ) -> list[tuple[int, float]]:
-        """``exclude``: boolean-NOT terms — each actor builds its own
-        shard-LOCAL not-mask (O(local df) decode, LRU-cached), exactly as
-        filters stay local; nothing global ships per query.  ``after``:
-        (score, doc_id) pagination cursor, applied locally — the driver
-        merge of local after-pages is the global after-page (shards
-        partition docs and the cursor predicate is per-doc).
-        ``ts_files``: the caller's tombstone file list (see the class
-        docstring); None keeps the current live-mask."""
+    def _op_search(self, query_text: str, k: int, mode: str,
+                   method: str = "auto",
+                   filter_id: str | None = None,
+                   exclude: str | None = None,
+                   after: tuple[float, int] | None = None,
+                   ts_files: tuple[str, ...] | None = None
+                   ) -> list[tuple[int, float]]:
+        """``exclude`` (boolean-NOT terms) and ``after`` (a (score,
+        doc_id) pagination cursor) apply shard-locally, as filters do: the
+        merge of local pages is the global page, since shards partition
+        docs.  ``ts_files``: the caller's tombstone file list (see the
+        class docstring); None keeps the current live-mask."""
         self._sync_tombstones(ts_files)
         if filter_id is not None and filter_id not in self._masks:
             raise KeyError(f"filter {filter_id!r} not registered "
                            "(call register_filter first)")
         mask = self._masks[filter_id] if filter_id is not None else None
-        after = tuple(after) if after is not None else None
-        if method == "wand":
-            hits = self.reader.search_wand(query_text, k, mode, mask=mask,
-                                           exclude=exclude, after=after)
-        elif method == "exhaustive":
-            hits = self.reader.search_exhaustive(query_text, k, mode,
-                                                 mask=mask, exclude=exclude,
-                                                 after=after)
-        else:
-            hits = self.reader.search(query_text, k, mode, mask=mask,
-                                      exclude=exclude, after=after)
+        r = self.reader
+        fn = {"wand": r.search_wand,
+              "exhaustive": r.search_exhaustive}.get(method, r.search)
+        hits = fn(query_text, k, mode, mask=mask, exclude=exclude,
+                  after=tuple(after) if after is not None else None)
         return [(h.doc_id, h.score) for h in hits]
 
-    def search_many(self, queries: list[dict], method: str = "auto",
-                    ts_files: tuple[str, ...] | None = None
-                    ) -> list[list[tuple[int, float]]]:
-        """Shard-local bulk search (one remote call for the whole list;
-        see DistributedSearcher.search_many)."""
-        self._sync_tombstones(ts_files)
-        return [self.search(q["query_text"], int(q.get("k", 10)),
-                            q.get("mode", "or"), method)
-                for q in queries]
-
-    def phrase(self, query_text: str, k: int, slop: int = 0,
-               ts_files: tuple[str, ...] | None = None
-               ) -> list[tuple[int, float]]:
+    def _op_phrase(self, query_text: str, k: int, slop: int = 0,
+                   ts_files: tuple[str, ...] | None = None
+                   ) -> list[tuple[int, float]]:
         """Shard-local phrase top-k (exact when slop=0, proximity window
         otherwise); needs a positions=True index.  Local-then-merge is
         exact for phrases too: shards partition the doc space."""
@@ -155,17 +156,19 @@ class QueryShardActor:
         hits = self.reader.search_phrase(query_text, k, slop=slop)
         return [(h.doc_id, h.score) for h in hits]
 
-    def explain(self, query_text: str, doc_id: int,
-                ts_files: tuple[str, ...] | None = None) -> dict | None:
+    def _op_explain(self, query_text: str, doc_id: int,
+                    ts_files: tuple[str, ...] | None = None) -> dict | None:
         """Per-term BM25 breakdown if this actor's shards hold the doc."""
         self._sync_tombstones(ts_files)
         return self.reader.explain(query_text, doc_id)
 
-    def suggest(self, prefix: str, k: int = 10) -> list[tuple[str, int]]:
+    def _op_suggest(self, prefix: str, k: int = 10
+                    ) -> list[tuple[str, int]] | None:
         """Prefix autocomplete over the GLOBAL dictionary (df desc, term
-        asc).  Any single actor answers globally: subset readers score
-        from the global termdict, and the partitioned-termdict reader
-        loads only the parts the prefix range touches."""
+        asc), which any subset reader holds: only the actor holding
+        ``shard-0000`` answers; the others return None."""
+        if "shard-0000" not in self._shards:
+            return None
         terms = self.reader.expand_prefix(prefix, max_expansions=None)
         items = sorted(((t, int(self.reader._df.get(t, 0)))
                         for t in terms), key=lambda x: (-x[1], x[0]))
@@ -180,38 +183,55 @@ class QueryShardActor:
                 "term_cache": r.cache_stats()}
 
 
+def _merge(parts, k: int) -> list[TopkResult]:
+    """Global top-k from the actors' local top-ks (shards partition the
+    doc space): score desc, doc_id asc."""
+    merged = [h for part in parts for h in part]
+    merged.sort(key=lambda ds: (-ds[1], ds[0]))
+    return [TopkResult(d, s) for d, s in merged[:k]]
+
+
 class DistributedSearcher:
     """Partition the index's shards over ``num_actors`` query actors,
-    round-robin.  The pool never has more actors than shards or than the
-    CPUs Ray was given (:func:`actor_pool_size`, explicit counts included):
-    each actor is a single-threaded process of ~190 MB resident, and on a
-    host with fewer CPUs than actors the extra ones only add a process hop
-    per request.  An actor holding several shards scores them in one
-    reader, with identical results.  The postings cache budget
-    (``QueryShardActor``'s ``cache_postings_budget``) is per ACTOR, spent
-    over all the shards it holds.
+    round-robin, never more actors than shards or than the CPUs Ray was
+    given (:func:`actor_pool_size`).  An actor holding several shards
+    scores them in one reader, with identical results, and spends its
+    postings cache budget (``cache_postings_budget``) over all of them.
+
+    Every request reaches the actors through :meth:`_scatter` and ONE Ray
+    Compiled Graph (``ray.dag``): an ``InputNode`` fanned out to each
+    actor's :meth:`QueryShardActor.call`, gathered by a
+    ``MultiOutputNode``.  Its shared-memory channels replace a
+    ``.remote()`` round trip per request (trivial actor, one pinned CPU:
+    p50 1.77 ms plain, 0.53 ms compiled).  In short:
+
+    * the graph compiles on first use, so opening a searcher does not
+      wait for the actors to start;
+    * the graph admits one execution in flight (each in-flight slot maps
+      ~1 MB of channel memory into every actor).  Requests that arrive
+      while it runs queue, and the next execution carries all of them, so
+      concurrent requests share round trips instead of taking turns.  A
+      lone request runs at once, with no batching window to wait out;
+    * an op that raises in an actor (an unregistered filter, say) comes
+      back as the same ``RayTaskError`` a plain call raises, fails only
+      its own request, and leaves the graph usable.  A dead actor fails
+      the request at once, and every request after it, since the
+      unfinished execution holds the one slot; nothing restarts.
+
+    While the graph is live an idle actor reads ~100% CPU in ``/proc``:
+    its loop polls the input channel, but yields the CPU to any other
+    runnable process.  :meth:`shutdown` waits out a running execution and
+    tears the graph down before it kills the actors.
 
     Deletes stay visible to a running searcher: every query reads the
     manifest's tombstone file list through :meth:`snapshot` and passes it
-    to the actors, which reload their live-masks when it changes.
-
-    ``batch_window_ms > 0`` enables request micro-batching on the
-    interactive path (:meth:`search_batched`): concurrent requests
-    arriving within the window ride ONE ``search_many`` scatter instead
-    of one scatter each.  The per-request scatter-gather costs the
-    router O(actors) Python work, so a single router's interactive
-    throughput DEGRADES as the pool widens (measured 136 -> 37 q/s from
-    8 to 32 actors); batching amortizes it to O(actors / batch).  The
-    window adds up to that many ms of latency at idle — keep it 0 for
-    latency-critical single-client use."""
+    to the actors, which reload their live-masks when it changes."""
 
     def __init__(self, index_dir: str, num_actors: int = 2,
-                 lazy: bool = False, batch_window_ms: float = 0.0):
-        import threading
-        self._bw = float(batch_window_ms) / 1000.0
-        self._block = threading.Lock()
-        self._pending: list[dict] = []
-        self._leader = False
+                 lazy: bool = False):
+        self._lock = threading.Lock()  # held over each graph execution
+        self._qlock = threading.Lock()  # guards _queue and _busy
+        self._graph, self._queue, self._busy = None, [], False
         self._mf_path = fsio.join(index_dir, "manifest.json")
         self._snap: tuple = (None, None, None)
         manifest, _ = self.snapshot()
@@ -244,6 +264,63 @@ class DistributedSearcher:
             self._snap = snap  # one tuple: safe across request threads
         return snap[1], snap[2]
 
+    def _scatter(self, *calls: tuple[str, tuple]) -> list[tuple]:
+        """Run each ``(op, args)`` on every actor through the compiled
+        graph: per call, one result per actor, in actor order.  Calls
+        that arrive while an execution runs queue, and the next execution
+        carries all of them.  Waits without a deadline, as a plain
+        ``ray.get`` does."""
+        slot = {"calls": calls, "ev": threading.Event(), "lead": False,
+                "out": None, "err": None}
+        with self._qlock:
+            self._queue.append(slot)
+            slot["lead"] = not self._busy
+            self._busy = True
+        if not slot["lead"]:
+            slot["ev"].wait()  # answered, or handed the next execution
+        if slot["lead"]:
+            self._execute()
+        if slot["err"] is not None:
+            raise slot["err"]
+        return slot["out"]
+
+    def _execute(self) -> None:
+        """Run every queued call as ONE graph execution, then hand the
+        graph to the first request that queued meanwhile."""
+        with self._qlock:
+            batch, self._queue = self._queue, []
+        try:
+            with self._lock:
+                if not self.actors:
+                    raise RuntimeError("searcher is shut down")
+                if self._graph is None:
+                    from ray.dag import InputNode, MultiOutputNode
+                    with InputNode() as inp:
+                        dag = MultiOutputNode([a.call.bind(inp)
+                                               for a in self.actors])
+                    self._graph = dag.experimental_compile(
+                        _max_inflight_executions=1)
+                per_actor = ray.get(self._graph.execute(
+                    [c for s in batch for c in s["calls"]]), timeout=-1)
+            cols = list(zip(*per_actor))  # per call: one result per actor
+            for s in batch:
+                s["out"], cols = cols[:len(s["calls"])], cols[len(s["calls"]):]
+                s["err"] = next((p.as_instanceof_cause() for ps in s["out"]
+                                 for p in ps if isinstance(p, RayTaskError)),
+                                None)
+        except BaseException as exc:
+            for s in batch:
+                s["err"] = exc
+        finally:
+            with self._qlock:
+                if self._queue:
+                    self._queue[0]["lead"] = True
+                    self._queue[0]["ev"].set()
+                else:
+                    self._busy = False
+            for s in batch:
+                s["ev"].set()
+
     def register_filter(self, filter_id: str, allowed_ids) -> int:
         """Broadcast an allowed-doc-id filter to every shard actor (ONE
         ray.put; actors build shard-local masks).  Returns the total
@@ -251,134 +328,56 @@ class DistributedSearcher:
         so the sum is exact)."""
         import numpy as np
         ref = ray.put(np.asarray(list(allowed_ids), dtype=np.int64))
-        return sum(ray.get([a.register_filter.remote(filter_id, ref)
-                            for a in self.actors]))
+        return sum(self._scatter(("register_filter", (filter_id, ref)))[0])
 
     def drop_filter(self, filter_id: str) -> None:
-        ray.get([a.drop_filter.remote(filter_id) for a in self.actors])
+        self._scatter(("drop_filter", (filter_id,)))
 
     def suggest(self, prefix: str, k: int = 10) -> list[tuple[str, int]]:
-        """One actor suffices — the dictionary (and df) is global."""
-        return ray.get(self.actors[0].suggest.remote(prefix, k))
+        """The dictionary (and df) is global: the actor holding
+        ``shard-0000`` answers, the others return None."""
+        return next(p for p in self._scatter(("suggest", (prefix, k)))[0]
+                    if p is not None)
 
     def search(self, query_text: str, k: int = 10, mode: str = "or",
                method: str = "auto",
                filter_id: str | None = None,
                exclude: str | None = None,
                after: tuple[float, int] | None = None) -> list[TopkResult]:
-        ts_files = self.snapshot()[1]
-        futs = [a.search.remote(query_text, k, mode, method, filter_id,
-                                exclude, after, ts_files)
-                for a in self.actors]
-        merged: list[tuple[int, float]] = []
-        for part in ray.get(futs):
-            merged.extend(part)
-        merged.sort(key=lambda ds: (-ds[1], ds[0]))
-        return [TopkResult(d, s) for d, s in merged[:k]]
-
-    def search_batched(self, query_text: str, k: int = 10,
-                       mode: str = "or",
-                       method: str = "auto") -> list[TopkResult]:
-        """Interactive search through the micro-batching gate
-        (leader/follower: the first request in a window sleeps the
-        window out, drains the queue, and issues ONE search_many for
-        everyone; followers block on an event).  Rank-identical to
-        :meth:`search`.  Falls through to plain search when batching is
-        disabled.  Requests needing filters/exclude/pagination use
-        :meth:`search` directly — they don't ride the batch."""
-        if self._bw <= 0:
-            return self.search(query_text, k, mode, method)
-        import threading
-        import time as _time
-        slot: dict = {"q": {"query_text": query_text, "k": k, "mode": mode},
-                      "method": method, "ev": threading.Event(),
-                      "res": None, "err": None}
-        with self._block:
-            self._pending.append(slot)
-            lead = not self._leader
-            if lead:
-                self._leader = True
-        if not lead:
-            slot["ev"].wait()
-            if slot["err"] is not None:
-                raise slot["err"]
-            return slot["res"]
-        _time.sleep(self._bw)
-        with self._block:
-            batch, self._pending = self._pending, []
-            self._leader = False
-        by_m: dict[str, list[dict]] = {}
-        for s in batch:
-            by_m.setdefault(s["method"], []).append(s)
-        for m, group in by_m.items():
-            try:
-                res = self.search_many([s["q"] for s in group], m)
-                for s, r in zip(group, res):
-                    s["res"] = r
-            except BaseException:
-                # per-request error isolation: one bad query (or a
-                # failed batched call) must not error its window-mates —
-                # retry each request individually and stamp its own
-                # outcome (the slow path only ever runs on failure)
-                for s in group:
-                    try:
-                        s["res"] = self.search(
-                            s["q"]["query_text"], s["q"]["k"],
-                            s["q"]["mode"], m)
-                    except BaseException as e1:
-                        s["err"] = e1
-        for s in batch:
-            s["ev"].set()
-        if slot["err"] is not None:
-            raise slot["err"]
-        return slot["res"]
+        return _merge(self._scatter(("search", (
+            query_text, k, mode, method, filter_id, exclude, after,
+            self.snapshot()[1])))[0], k)
 
     def search_many(self, queries: list[dict],
                     method: str = "auto") -> list[list[TopkResult]]:
-        """Bulk search: ONE batched remote call per actor for the whole
-        query list (query replay, eval runs, offline scoring).  The
-        interactive :meth:`search` pays one scatter-gather per request —
-        its throughput through a single router process is bounded by
-        that process, not by the actor pool; batching amortizes the
-        round-trip to one per actor so bulk throughput scales with the
-        scoring tier.  Each query dict: ``{"query_text", "k", "mode"}``.
-        Results are rank-identical to per-query :meth:`search`."""
-        ts_files = self.snapshot()[1]
-        futs = [a.search_many.remote(queries, method, ts_files)
-                for a in self.actors]
-        parts = ray.get(futs)  # [actor][query] -> [(doc, score)]
-        out: list[list[TopkResult]] = []
-        for qi, q in enumerate(queries):
-            merged: list[tuple[int, float]] = []
-            for part in parts:
-                merged.extend(part[qi])
-            merged.sort(key=lambda ds: (-ds[1], ds[0]))
-            out.append([TopkResult(d, s)
-                        for d, s in merged[: int(q.get("k", 10))]])
-        return out
+        """Bulk search: ONE graph execution for the whole query list
+        (query replay, eval runs, offline scoring).  Each query dict:
+        ``{"query_text", "k", "mode"}``.  Rank-identical to per-query
+        :meth:`search`."""
+        ts = self.snapshot()[1]
+        ks = [int(q.get("k", 10)) for q in queries]
+        outs = self._scatter(*[("search", (
+            q["query_text"], k, q.get("mode", "or"), method, None, None,
+            None, ts)) for q, k in zip(queries, ks)])
+        return [_merge(parts, k) for parts, k in zip(outs, ks)]
 
     def explain(self, query_text: str, doc_id: int) -> dict | None:
-        """Ask every shard actor (shards partition docs: at most one
-        answers non-None)."""
-        ts_files = self.snapshot()[1]
-        for ans in ray.get([a.explain.remote(query_text, doc_id, ts_files)
-                            for a in self.actors]):
-            if ans is not None:
-                return ans
-        return None
+        """Shards partition docs: at most one actor answers non-None."""
+        return next((a for a in self._scatter(("explain", (
+            query_text, doc_id, self.snapshot()[1])))[0] if a is not None),
+            None)
 
     def search_phrase(self, query_text: str, k: int = 10,
                       slop: int = 0) -> list[TopkResult]:
-        ts_files = self.snapshot()[1]
-        futs = [a.phrase.remote(query_text, k, slop, ts_files)
-                for a in self.actors]
-        merged: list[tuple[int, float]] = []
-        for part in ray.get(futs):
-            merged.extend(part)
-        merged.sort(key=lambda ds: (-ds[1], ds[0]))
-        return [TopkResult(d, s) for d, s in merged[:k]]
+        return _merge(self._scatter(("phrase", (
+            query_text, k, slop, self.snapshot()[1])))[0], k)
 
     def shutdown(self) -> None:
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []
+        """Waits out a running execution; requests after it fail."""
+        with self._lock:
+            if self._graph is not None:
+                self._graph.teardown()
+                self._graph = None
+            for a in self.actors:
+                ray.kill(a)
+            self.actors = []

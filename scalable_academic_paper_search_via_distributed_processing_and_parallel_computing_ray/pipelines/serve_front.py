@@ -25,9 +25,9 @@ Routes (engine names first, reference aliases accepted):
   GET  /stats                -> per-actor serving stats
 
 Threading note: ``ThreadingHTTPServer`` handles each request on its own
-thread; every op is a ray.get round-trip against the shard actors, which
-serialize per actor — the same safety argument as the threaded QPS bench
-in bench.py (178-193 q/s over 8 client threads).
+thread; shard-actor ops go through the searcher's compiled graph, which
+runs one execution at a time, and requests that arrive meanwhile share
+the next execution (see :class:`~.serve.DistributedSearcher`).
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ class ServeState:
     filter against the searcher's one manifest snapshot."""
 
     def __init__(self, index_dir: str, num_actors: int = 2,
-                 lazy: bool = False, analytics_dir: str | None = None,
-                 batch_window_ms: float = 0.0):
+                 lazy: bool = False, analytics_dir: str | None = None):
         import ray
 
         from .serve import DistributedSearcher
@@ -60,8 +59,7 @@ class ServeState:
         self.index_dir = index_dir
         self.searcher = DistributedSearcher(index_dir,
                                             num_actors=num_actors,
-                                            lazy=lazy,
-                                            batch_window_ms=batch_window_ms)
+                                            lazy=lazy)
         self.enrich_actor = None
         if analytics_dir:
             from .enrich import EnrichServer
@@ -110,21 +108,11 @@ class ServeState:
             after = req.get("after")
             if after is not None:
                 after = (float(after[0]), int(after[1]))
-            if (after is None and req.get("filter_id") is None
-                    and req.get("exclude") is None):
-                # plain searches ride the micro-batching gate (a no-op
-                # unless the server was started with --batch-window-ms)
-                hits = self.searcher.search_batched(
-                    req["query"], int(req.get("k", 10)),
-                    req.get("mode", "or"), req.get("method", "auto"))
-            else:
-                hits = self.searcher.search(req["query"],
-                                            int(req.get("k", 10)),
-                                            req.get("mode", "or"),
-                                            req.get("method", "auto"),
-                                            req.get("filter_id"),
-                                            req.get("exclude"),
-                                            after)
+            hits = self.searcher.search(req["query"], int(req.get("k", 10)),
+                                        req.get("mode", "or"),
+                                        req.get("method", "auto"),
+                                        req.get("filter_id"),
+                                        req.get("exclude"), after)
         rows = [{"rank": i, "doc_id": h.doc_id, "score": round(h.score, 6)}
                 for i, h in enumerate(hits, 1)]
         if req.get("snippets"):

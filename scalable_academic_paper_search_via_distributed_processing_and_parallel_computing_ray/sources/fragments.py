@@ -28,9 +28,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 import ray.data as rd
 from ray.data import Dataset
+
+from ..state import fsio
 
 ROW_BITS = 40
 MAX_FILE_SEQ = (1 << 23) - 1  # ids stay positive int64
@@ -54,7 +55,7 @@ def fragment_items(files: list[str], seq_of: dict[str, int]) -> list[dict]:
     offset, rows).  Footer-only driver scan, threaded."""
 
     def one(f: str) -> list[dict]:
-        md = pq.ParquetFile(f).metadata
+        md = fsio.pq_file(f).metadata
         out, off = [], 0
         for rg in range(md.num_row_groups):
             n = md.row_group(rg).num_rows
@@ -83,7 +84,7 @@ def read_fragments(files: list[str], columns: list[str],
     def read_one(b: pa.Table) -> pa.Table:
         out = []
         for row in b.to_pylist():
-            t = pq.ParquetFile(row["file"]).read_row_group(
+            t = fsio.pq_file(row["file"]).read_row_group(
                 row["rg"], columns=columns)
             t = t.append_column("doc_id", pa.array(
                 sharded_doc_ids(row["file_seq"], row["row_off"],
@@ -123,7 +124,6 @@ def canon(path: str) -> str:
     pass through untouched (realpath would mangle ``s3://...`` into a
     bogus CWD-relative local path) — object-store spellings are already
     canonical per key."""
-    from ..state import fsio
     if path.startswith("file://"):
         path = fsio.resolve(path)[1]
     elif fsio.is_uri(path):
@@ -132,7 +132,6 @@ def canon(path: str) -> str:
 
 
 def load_ledger(index_dir: str) -> list[str]:
-    from ..state import fsio
     p = os.path.join(index_dir, LEDGER)
     if not fsio.exists(p):
         return []
@@ -155,7 +154,6 @@ def extend_ledger(index_dir: str, new_files: list[str]) -> dict[str, int]:
         if f not in seen:
             cur.append(f)
             seen.add(f)
-    from ..state import fsio
     p = os.path.join(index_dir, LEDGER)
     fsio.write_json_atomic(p, {"files": cur, "row_bits": ROW_BITS})
     return {f: i for i, f in enumerate(cur)}

@@ -42,6 +42,16 @@ def index_dir(ray_session, pages_dir, tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def pos_index_dir(ray_session, pages_dir, tmp_path_factory):
+    """The same index with token positions (phrase queries)."""
+    from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.pipelines import build
+    d = str(tmp_path_factory.mktemp("posindex") / "idx")
+    build.build_index(pages_dir, d, build.BuildParams(num_shards=2, num_salts=4,
+                                                      positions=True))
+    return d
+
+
+@pytest.fixture(scope="session")
 def oracle_index(pages_dir):
     import pyarrow.parquet as pq
 

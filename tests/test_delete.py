@@ -125,18 +125,16 @@ def test_compact_purges_to_fresh_build(ray_session, pages_dir, tmp_path):
 
 def test_serve_respects_deletes(ray_session, pages_dir, tmp_path):
     """Deletes made while ONE searcher runs are masked on its next
-    request, on the per-request (``search``) and the batched
-    (``search_batched`` -> ``search_many``) paths alike, with survivor
-    ranks and scores equal to a freshly opened reader's."""
-    import ray
-
+    request, on the per-request (``search``) and the bulk
+    (``search_many``) paths alike, with survivor ranks and scores equal
+    to a freshly opened reader's."""
     from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.pipelines.serve import (
         DistributedSearcher,
     )
     d = str(tmp_path / "idx")
     build.build_index(pages_dir, d,
                       build.BuildParams(num_shards=2, num_salts=4))
-    s = DistributedSearcher(d, num_actors=2, batch_window_ms=1.0)
+    s = DistributedSearcher(d, num_actors=2)
     try:
         v1 = s.search("data", 5)[0].doc_id
         build.delete_docs(d, [v1])
@@ -145,26 +143,20 @@ def test_serve_respects_deletes(ray_session, pages_dir, tmp_path):
         assert _fmt(got) == _fmt(query.IndexReader(d).search("data", 20))
         assert s.explain("data", v1) is None
 
-        v2 = s.search_batched("data", 5)[0].doc_id
+        v2 = s.search_many([{"query_text": "data", "k": 5}])[0][0].doc_id
         assert v2 != v1
         build.delete_docs(d, [v2])
-        got = s.search_batched("data", 20)
+        got = s.search_many([{"query_text": "data", "k": 20}])[0]
         assert not {v1, v2} & {h.doc_id for h in got}
         assert _fmt(got) == _fmt(query.IndexReader(d).search("data", 20))
-        many = s.search_many([{"query_text": "data", "k": 20}])[0]
-        assert _fmt(many) == _fmt(got)
+        assert _fmt(s.search("data", 20)) == _fmt(got)
 
         # a caller two deletes behind names a tombstone file that
         # delete_docs has already removed: each actor falls back to the
         # current manifest's list instead of failing the request
-        for a in s.actors:
-            shards = ray.get(a.stats.remote())["shards"]
-            hits = ray.get(a.search.remote(
-                "data", 20, "or", "auto", None, None, None,
-                ("tombstones-gone.parquet",)))
-            want = query.IndexReader(d, shard_subset=shards)
-            assert [(doc, round(sc, 6)) for doc, sc in hits] == \
-                _fmt(want.search("data", 20))
+        manifest = s.snapshot()[0]
+        s.snapshot = lambda: (manifest, ("tombstones-gone.parquet",))
+        assert _fmt(s.search("data", 20)) == _fmt(got)
     finally:
         s.shutdown()
 

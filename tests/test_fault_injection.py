@@ -77,3 +77,41 @@ def test_worker_crash_mid_build_retries_clean(ray_session, pages_dir,
     assert _docs_doc_ids(d_fault) == want_ids
     got = _fmt(query.IndexReader(d_fault).search_wand("spark data join", 10))
     assert got == want
+
+
+def _within(seconds: float, fn):
+    """``fn()``'s result, or fail the test if it has not returned within
+    ``seconds`` (a daemon thread, so a hung call cannot hang the run)."""
+    import threading
+    out: list = []
+    t = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    t.start()
+    t.join(seconds)
+    assert out, f"no answer within {seconds} s"
+    return out[0]
+
+
+def test_killed_shard_actor_errors_not_hangs(ray_session, index_dir):
+    """A shard actor killed under a live ServeState: the next searches
+    come back as ``{"error": ...}`` at once instead of waiting on the dead
+    actor, and shutdown() still returns."""
+    import pytest
+    import ray
+
+    from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.pipelines.serve_front import (
+        ServeState,
+    )
+    req = {"op": "search", "query": "spark data join", "k": 5}
+    state = ServeState(index_dir, num_actors=2)
+    try:
+        resp, _ = _within(60, lambda: state.handle(req))
+        assert resp["results"]
+        victim = state.searcher.actors[-1]
+        ray.kill(victim)
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(victim.stats.remote(), timeout=30)  # the kill landed
+        for _ in range(2):
+            resp, _ = _within(10, lambda: state.handle(req))
+            assert "error" in resp, resp
+    finally:
+        _within(30, state.shutdown)

@@ -18,7 +18,7 @@ from scalable_academic_paper_search_via_distributed_processing_and_parallel_comp
 from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.functions.tokenize import (
     tokenize_filtered)
 from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.pipelines import (
-    build, query)
+    query)
 
 
 # ------------------------------------------------------------------ codec --
@@ -54,15 +54,6 @@ def test_positions_absent_when_not_given():
 
 
 # ------------------------------------------------------------- end-to-end --
-
-@pytest.fixture(scope="module")
-def pos_index_dir(ray_session, pages_dir, tmp_path_factory):
-    d = str(tmp_path_factory.mktemp("posindex") / "idx")
-    build.build_index(pages_dir, d,
-                      build.BuildParams(num_shards=2, num_salts=4,
-                                        positions=True))
-    return d
-
 
 @pytest.fixture(scope="module")
 def pos_reader(pos_index_dir):

@@ -127,11 +127,18 @@ def test_search_many_matches_per_query(ray_session, index_dir):
         dist.shutdown()
 
 
-def test_search_batched_concurrent_parity(ray_session, index_dir):
-    """Micro-batched interactive search under real thread concurrency:
-    every request's result must equal plain search (leader/follower
-    batching is an optimization, never a semantics change)."""
+def test_search_batched_concurrent_parity(ray_session, pos_index_dir):
+    """Eight request threads on ONE searcher mix search, bulk search,
+    explain, phrase search, suggest and a search on an unregistered
+    filter.  Requests that queue behind a running graph execution are
+    batched into the next one; every answer must equal the serial one
+    (the bad filter fails only its own request), and each actor's term
+    cache, budgeted to evict, must stay inside its budget."""
+    import sys
     from concurrent.futures import ThreadPoolExecutor
+
+    import pytest
+    import ray
 
     from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.pipelines import (
         serve,
@@ -139,25 +146,64 @@ def test_search_batched_concurrent_parity(ray_session, index_dir):
     from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.sources.pages import (
         QUERY_SET,
     )
-    dist = serve.DistributedSearcher(index_dir, num_actors=2,
-                                     batch_window_ms=5.0)
+    dist = serve.DistributedSearcher(pos_index_dir, num_actors=2)
     try:
-        want = {q["query_id"]: [(r.doc_id, round(r.score, 6)) for r in
-                                dist.search(q["query_text"], q["k"],
-                                            q["mode"])]
-                for q in QUERY_SET}
-        reqs = [q for _ in range(6) for q in QUERY_SET]
+        # the graph compiles on first use, so its actors can still be
+        # swapped for ones with a budget small enough to evict
+        shards = [ray.get(a.stats.remote())["shards"] for a in dist.actors]
+        for a in dist.actors:
+            ray.kill(a)
+        dist.actors = [serve.QueryShardActor.remote(
+            pos_index_dir, names, cache_postings_budget=2_000)
+            for names in shards]
 
-        def one(q):
-            hits = dist.search_batched(q["query_text"], q["k"], q["mode"])
-            return q["query_id"], [(r.doc_id, round(r.score, 6))
-                                   for r in hits]
+        def many(text, k, mode):
+            return dist.search_many([{"query_text": text, "k": k,
+                                      "mode": mode}] * 2)[1]
 
-        with ThreadPoolExecutor(12) as ex:
-            for qid, got in ex.map(one, reqs):
-                assert got == want[qid], qid
+        def bad_filter(text):
+            try:
+                return dist.search(text, 5, filter_id="never-registered")
+            except KeyError as exc:
+                return type(exc).__name__
+
+        ops = {"search": dist.search, "many": many, "bad": bad_filter,
+               "explain": dist.explain, "phrase": dist.search_phrase,
+               "suggest": dist.suggest}
+        reqs = [(op, q["query_text"], q["k"], q["mode"])
+                for q in QUERY_SET for op in ("search", "many")]
+        reqs += [("bad", "spark data join"), ("bad", "data")]
+        top = [h.doc_id for h in dist.search("spark data join", 4)]
+        reqs += [("explain", "spark data join", doc) for doc in top]
+        reqs += [("phrase", "sort merge", 10, 0),
+                 ("phrase", "spark join", 10, 3)]
+        reqs += [("suggest", p, 5) for p in ("da", "sp", "jo")]
+
+        def one(req):
+            got = ops[req[0]](*req[1:])
+            if req[0] in ("search", "many", "phrase"):
+                got = [(r.doc_id, round(r.score, 6)) for r in got]
+            return got
+
+        want = [one(r) for r in reqs]
+        queued, execute = [], dist._execute
+        dist._execute = lambda: (queued.append(len(dist._queue)), execute())
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the threads more often
+        try:
+            with ThreadPoolExecutor(8) as ex:
+                for _ in range(3):
+                    assert list(ex.map(one, reqs, timeout=120)) == want
+        finally:
+            sys.setswitchinterval(switch)
+        assert max(queued) > 1  # some executions carried several requests
+        for st in ray.get([a.stats.remote() for a in dist.actors]):
+            tc = st["term_cache"]
+            assert tc["postings"] <= tc["budget"] and tc["evictions"] > 0
     finally:
         dist.shutdown()
+    with pytest.raises(RuntimeError, match="shut down"):
+        dist.search("data", 5)
 
 
 def test_distributed_filtered_search(ray_session, index_dir):
