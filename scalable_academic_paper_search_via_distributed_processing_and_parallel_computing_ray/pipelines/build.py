@@ -7,32 +7,27 @@ with a real inverted index instead of the reference's forward index
 (``bm25_precompute.py:86-90`` stores doc->term_freqs maps; we store
 term->postings — the point of the north rule).
 
-Physical plan per shard (SURVEY.md §7.3):
+Physical plan (SURVEY.md §7.3), ONE Dataset pipeline per build wave:
 
-  phase 1:  read_parquet(pages, columns=[doc_id,url,html])
-              -> map_batches(ExtractDocs, actor pool)       [CPU-bound]
-              -> write_parquet(docs/)                        [checkpoint]
-  global :  N, avg_dl from docs doc_len column (column-pruned read)
-  phase 2:  read_parquet(docs, columns=[doc_id,text,doc_len])
-              -> map_batches(PartialPostingsBuilder, actor pool)
-              -> groupby(term, salt)                         [THE shuffle]
-              -> map_groups(merge+encode)
-              -> write_parquet(seg/)                         [checkpoint]
+  read_parquet(pages, columns=[doc_id,url,html])
+    -> map_batches(ExtractDocs)                   [CPU-bound, tags sid]
+    -> map_batches(DocsCheckpointWriter)           [docs/ checkpoint tee]
+    -> map_batches(PartialPostingsBuilder)
+    -> groupby(sid, term, salt)                    [THE shuffle]
+    -> map_groups(merge_postings)
+    -> write_parquet(seg/, partition_cols=[sid])   [segment checkpoint]
+  global :  N, avg_dl from the docs doc_len column (column-pruned read)
 
-The docs/ parquet is the deliberate streaming-safe branch point: phase 2
-re-reads only (doc_id, text, doc_len) with projection pushdown instead of
-either materializing tokens in the object store or running extraction
-twice.
-
-Each phase runs as ONE Dataset pipeline over every *pending* shard, tagging
-rows with their shard id (``sid``) and fanning the output back out with a
-hive-partitioned write (``partition_cols=["sid"]`` -> renamed into the
-per-shard checkpoint dirs).  Per-shard pipelines paid the pipeline fixed
+The wave covers every *pending* shard — one whose ``docs/`` or ``seg/``
+done-marker is missing — tagging rows with their shard id (``sid``) and
+fanning the output back out with hive-partitioned writes renamed into the
+per-shard checkpoint dirs.  Per-shard pipelines paid the pipeline fixed
 cost (scheduling + shuffle latency floors, ~2-10 s each) once per shard;
-measured on an 80k-page corpus the single-pipeline wave is ~5x faster while
-keeping the same shard-granular resume layout: already-done shards are
-excluded from the wave, and a restart after a mid-wave crash redoes only
-that wave.
+measured on an 80k-page corpus the single-pipeline wave is ~5x faster.
+Resume is shard-granular: done shards are excluded, and a pending shard
+re-runs whole (both checkpoints; the re-extracted docs dir replaces the
+old one and holds the same rows), so a restart after a mid-wave crash
+redoes only that wave.
 """
 
 from __future__ import annotations
@@ -150,24 +145,17 @@ def _ncpu() -> int:
         return 4
 
 
-def merge_postings(group: pa.Table) -> pa.Table:
-    """Per-(sid, term, salt) merge: k-way concat of sorted partial lists ->
-    delta+varint encoded postings row with raw (max_tf, min_dl) block bounds.
-    Needs NO global state (the avg_dl-dependent bound is derived at read
-    time), so segment shards stay valid when the index is later extended."""
-    sid = group["sid"][0].as_py()
-    term = group["term"][0].as_py()
-    salt = group["salt"][0].as_py()
-    doc = pc.list_flatten(group["doc_ids"]).to_numpy(zero_copy_only=False)
-    tf = pc.list_flatten(group["tfs"]).to_numpy(zero_copy_only=False)
-    dl = pc.list_flatten(group["dls"]).to_numpy(zero_copy_only=False)
-    flat_pos = (pc.list_flatten(group["poss"])
-                .to_numpy(zero_copy_only=False).astype(np.int64)
-                if "poss" in group.column_names
-                else np.zeros(0, np.int64))
+def _encode_group(sid: int, term: str, salt: int, doc: np.ndarray,
+                  tf: np.ndarray, dl: np.ndarray,
+                  flat_pos: np.ndarray | None, dup_hint: str) -> pa.Table:
+    """Doc-sort one (sid, term, salt) group's postings, check their ids are
+    distinct, and encode them as one segment-table row (with ``sid``).
+    ``flat_pos``: flattened per-posting positions (posting i owns ``tf[i]``
+    entries) or None/empty when the group has none.  Shared by the build's
+    :func:`merge_postings` and compaction's :func:`merge_segment_rows`."""
     order = np.argsort(doc, kind="stable")
     poss_sorted = None
-    if flat_pos.size:
+    if flat_pos is not None and flat_pos.size:
         # per-posting position slices travel with their posting through the
         # doc sort: gather each reordered posting's [start, start+tf) range
         tf64 = tf.astype(np.int64)
@@ -178,9 +166,7 @@ def merge_postings(group: pa.Table) -> pa.Table:
         poss_sorted = flat_pos[np.repeat(pstart[order], lens) + within]
     doc, tf, dl = doc[order], tf[order], dl[order]
     if doc.size > 1 and (np.diff(doc) <= 0).any():
-        raise ValueError(
-            f"duplicate doc_id in postings for term={term!r}; "
-            "run dedup (stages/dedup.py) before indexing")
+        raise ValueError(f"duplicate doc_id for term={term!r}; {dup_hint}")
     enc = encode_postings(doc.astype(np.int64), tf.astype(np.int64),
                           dl.astype(np.int64), poss_sorted)
     return pa.table({
@@ -204,6 +190,24 @@ def merge_postings(group: pa.Table) -> pa.Table:
         "imp_dl": pa.array([enc.imp_dl.tolist()], pa.list_(pa.int32())),
         "imp_n": pa.array([enc.imp_n.tolist()], pa.list_(pa.int32())),
     })
+
+
+def _flat(group: pa.Table, col: str) -> np.ndarray:
+    return pc.list_flatten(group[col]).to_numpy(zero_copy_only=False)
+
+
+def merge_postings(group: pa.Table) -> pa.Table:
+    """Per-(sid, term, salt) merge: k-way concat of sorted partial lists ->
+    delta+varint encoded postings row with raw (max_tf, min_dl) block bounds.
+    Needs NO global state (the avg_dl-dependent bound is derived at read
+    time), so segment shards stay valid when the index is later extended."""
+    return _encode_group(
+        group["sid"][0].as_py(), group["term"][0].as_py(),
+        group["salt"][0].as_py(), _flat(group, "doc_ids"),
+        _flat(group, "tfs"), _flat(group, "dls"),
+        _flat(group, "poss").astype(np.int64)
+        if "poss" in group.column_names else None,
+        "run dedup (stages/dedup.py) before indexing")
 
 
 class DocsCheckpointWriter:
@@ -277,7 +281,6 @@ def _publish_partitions(tmp_root: str, pending: list[int],
     """Move each ``sid=K`` hive dir of a wave write into its shard's
     checkpoint dir; shards with no output rows get an empty-table file so
     downstream readers see a schema."""
-    import shutil
     for sid in pending:
         dest = dest_for[sid]
         fsio.rmtree(dest, ignore_errors=True)
@@ -317,32 +320,29 @@ def _input_schema_names(first_file: str) -> list[str]:
 
 
 def _read_corpus(files: list[str], cols: list[str],
-                 num_blocks: int | None = None) -> rd.Dataset:
+                 num_blocks: int) -> rd.Dataset:
     """read_parquet with projection pushdown, or read_json for JSONL corpora
     (SURVEY.md §2.1 S1 — JSONL has no column pruning; projection happens in
-    the first map).  ``num_blocks`` pins the read parallelism — the fused
-    build wave uses it to size the sort-shuffle partition count at the
-    READ (free) instead of repartitioning heavy partial postings (an extra
+    the first map).  ``num_blocks`` pins the read parallelism — the build
+    wave uses it to size the sort-shuffle partition count at the READ
+    (free) instead of repartitioning heavy partial postings (an extra
     all-to-all that cost ~40% at low parallelism, measured x256 @ 8 CPUs)."""
     if files[0].endswith(_JSON_EXTS):
         return rd.read_json(files, include_paths=True)
-    if num_blocks is not None:
-        return rd.read_parquet(files, columns=cols, include_paths=True,
-                               override_num_blocks=num_blocks)
-    return rd.read_parquet(files, columns=cols, include_paths=True)
+    return rd.read_parquet(files, columns=cols, include_paths=True,
+                           override_num_blocks=num_blocks)
 
 
 def _fused_wave(index_dir: str, shard_map: dict[int, list[str]],
                 params: BuildParams, pending: list[int],
                 docs_dir_for: dict[int, str],
                 seg_dir_for: dict[int, str]) -> None:
-    """ONE pipeline for shards needing both phases: read pages -> extract
-    -> docs checkpoint tee (:class:`DocsCheckpointWriter`) -> partial
-    postings -> salted (sid, term, salt) shuffle -> encoded segments.
-    Publishes docs dirs first, then segment dirs; done-markers stamp only
-    after both, so a crash anywhere re-runs the whole wave (the wave is the
-    unit of loss — SCALE.md)."""
-    import shutil
+    """ONE pipeline for the pending shards: read pages -> extract -> docs
+    checkpoint tee (:class:`DocsCheckpointWriter`) -> partial postings ->
+    salted (sid, term, salt) shuffle -> encoded segments.  Publishes docs
+    dirs first, then segment dirs, replacing whatever a shard held; the
+    done-markers stamp only after both, so a crash anywhere re-runs the
+    whole wave (the wave is the unit of loss — SCALE.md)."""
     t0 = time.time()
     all_files = [f for sid in pending for f in shard_map[sid]]
     path_to_sid = {f: sid for sid in pending for f in shard_map[sid]}
@@ -393,6 +393,8 @@ def _fused_wave(index_dir: str, shard_map: dict[int, list[str]],
             num_blocks=num_blocks)
     else:
         ds = _read_corpus(all_files, cols, num_blocks=num_blocks)
+    # ExtractDocs is stateless -> task pool (an instance, not the class):
+    # elastic scheduling, no actor-pool cold start
     ds = ds.map_batches(ExtractDocs(path_to_sid=path_to_sid),
                         batch_format="pyarrow",
                         batch_size=params.extract_batch_size)
@@ -404,6 +406,8 @@ def _fused_wave(index_dir: str, shard_map: dict[int, list[str]],
                                head_df_frac=params.head_df_frac,
                                positions=params.positions),
         batch_format="pyarrow", batch_size=params.postings_batch_size)
+    # shard id is part of the shuffle key: ONE all-to-all covers every
+    # pending shard (doc sets are disjoint across shards)
     segs = partials.groupby(["sid", "term", "salt"]).map_groups(
         merge_postings, batch_format="pyarrow")
     # coalesce one-row map_groups blocks before the write (row-group
@@ -421,14 +425,9 @@ def _fused_wave(index_dir: str, shard_map: dict[int, list[str]],
 
     def _stats(sid: int) -> tuple[int, int, int, int, int, int]:
         stat = fsio.pq_read_table(docs_dir_for[sid], columns=["doc_len"])
-        meta = fsio.pq_read_table(seg_dir_for[sid], columns=["df"])
-        seg_bytes = sum(
-            fsio.getsize(os.path.join(seg_dir_for[sid], f))
-            for f in fsio.listdir(seg_dir_for[sid]) if f.endswith(".parquet"))
         return (sid, stat.num_rows,
                 int(pc.sum(stat["doc_len"]).as_py() or 0),
-                meta.num_rows, int(pc.sum(meta["df"]).as_py() or 0),
-                seg_bytes)
+                *_seg_stats(seg_dir_for[sid]))
 
     for sid, n_docs, sum_dl, n_rows, n_post, seg_bytes in \
             _threaded(_stats, pending):
@@ -445,12 +444,26 @@ def _fused_wave(index_dir: str, shard_map: dict[int, list[str]],
                              wave_stats_secs=round(time.time() - ts, 3))
 
 
+def _seg_stats(seg_dir: str) -> tuple[int, int, int]:
+    """(term-shard rows, summed df = postings, parquet bytes) of one
+    published segment dir."""
+    meta = fsio.pq_read_table(seg_dir, columns=["df"])
+    seg_bytes = sum(fsio.getsize(os.path.join(seg_dir, f))
+                    for f in fsio.listdir(seg_dir) if f.endswith(".parquet"))
+    return meta.num_rows, int(pc.sum(meta["df"]).as_py() or 0), seg_bytes
+
+
 def _build_shards(index_dir: str, shard_map: dict[int, list[str]],
                   params: BuildParams) -> None:
-    """Run phase 1 + phase 2 for the given {shard_id: input files}, skipping
-    shards whose done-markers exist.  Both phases are avg_dl-independent
-    (block bounds store raw max_tf/min_dl), so this is safe both for a fresh
-    build and for appending new shards to an existing index."""
+    """Build the given {shard_id: input files} in one :func:`_fused_wave`
+    over every shard missing its ``docs/`` or ``seg/`` done-marker; a
+    shard with both markers is skipped.  A pending shard re-runs whole
+    (extraction, docs checkpoint and segments), whichever marker it
+    lacked: a crash between the two marker writes and hand-deleted files
+    are rare, and one pipeline is cheaper to keep right than three.  The
+    wave is avg_dl-independent (block bounds store raw max_tf/min_dl), so
+    this is safe both for a fresh build and for appending new shards to an
+    existing index."""
     if params.k1 != bm25.K1 or params.b != bm25.B:
         raise NotImplementedError(
             "per-index BM25 parameters are not wired through scoring; "
@@ -460,12 +473,15 @@ def _build_shards(index_dir: str, shard_map: dict[int, list[str]],
             "posting block size is fixed at codec.BLOCK_SIZE "
             f"({BLOCK_SIZE}); BuildParams.block_size only documents it")
     shard_ids = sorted(shard_map)
+    docs_dir_for = {sid: os.path.join(ckpt.shard_dir(index_dir, sid), "docs")
+                    for sid in shard_ids}
+    seg_dir_for = {sid: os.path.join(ckpt.shard_dir(index_dir, sid), "seg")
+                   for sid in shard_ids}
     # resume safety: a done shard must have been built from the SAME input
     # files — otherwise the marker would silently serve stale data for a
     # changed corpus (use a fresh index_dir, or extend_index for appends)
     for sid in shard_ids:
-        docs_dir = os.path.join(ckpt.shard_dir(index_dir, sid), "docs")
-        if ckpt.is_done(docs_dir):
+        if ckpt.is_done(docs_dir_for[sid]):
             rec = ckpt.read_shard_record(index_dir, sid)
             if rec.get("input_files") != shard_map[sid]:
                 raise ValueError(
@@ -476,8 +492,7 @@ def _build_shards(index_dir: str, shard_map: dict[int, list[str]],
         # a done SEGMENT shard must carry the current codec format —
         # resuming over old segments would skip the rebuild and then
         # _finalize would stamp the NEW version on v(N-1) payloads
-        seg_dir = os.path.join(ckpt.shard_dir(index_dir, sid), "seg")
-        if ckpt.is_done(seg_dir):
+        if ckpt.is_done(seg_dir_for[sid]):
             rec = ckpt.read_shard_record(index_dir, sid)
             if rec.get("format_version") != FORMAT_VERSION:
                 raise ValueError(
@@ -498,138 +513,12 @@ def _build_shards(index_dir: str, shard_map: dict[int, list[str]],
                     f"requests {params.doc_id_mode!r}: mixing id schemes "
                     "re-ids documents — use a fresh index_dir")
 
-    docs_dir_for = {sid: os.path.join(ckpt.shard_dir(index_dir, sid), "docs")
-                    for sid in shard_ids}
-    seg_dir_for = {sid: os.path.join(ckpt.shard_dir(index_dir, sid), "seg")
-                   for sid in shard_ids}
-    pending_docs = [sid for sid in shard_ids
-                    if not ckpt.is_done(docs_dir_for[sid])]
-    pending_segs = [sid for sid in shard_ids
-                    if not ckpt.is_done(seg_dir_for[sid])]
-
-    # ---- fused wave: shards needing BOTH docs and segments (the common
-    # fresh-build / extend case) run extract -> docs checkpoint (side-effect
-    # tee) -> partials -> shuffle -> segments as ONE pipeline: the two-wave
-    # split paid the per-pipeline fixed cost (scheduling + shuffle ramp,
-    # ~5.5 s measured in BASELINE.md) twice per build AND re-read the docs
-    # parquet it had just written.  Phases overlap naturally now — the term
-    # shuffle's map side consumes extraction output as it streams.
-    fused = [sid for sid in pending_docs if sid in set(pending_segs)]
-    if fused:
-        _fused_wave(index_dir, shard_map, params, fused,
+    pending = [sid for sid in shard_ids
+               if not (ckpt.is_done(docs_dir_for[sid])
+                       and ckpt.is_done(seg_dir_for[sid]))]
+    if pending:
+        _fused_wave(index_dir, shard_map, params, pending,
                     docs_dir_for, seg_dir_for)
-
-    # ---- phase 1 only: docs pending but segments already done (rare —
-    # manual surgery on a built index); keeps the old two-wave path alive
-    # for it and for phase-2-only resumes below.
-    pending1 = [sid for sid in pending_docs if sid not in set(fused)]
-    if pending1:
-        t1 = time.time()
-        all_files = [f for sid in pending1 for f in shard_map[sid]]
-        path_to_sid = {f: sid for sid in pending1 for f in shard_map[sid]}
-        schema_names = _input_schema_names(all_files[0])
-        cols = [c for c in ("doc_id", "url", "html") if c in schema_names]
-        if "html" not in schema_names:  # pre-extracted corpus (text input)
-            cols.append("text")
-        ds = _read_corpus(all_files, cols)
-        # ExtractDocs is stateless -> task pool (an instance, not the class):
-        # elastic scheduling, no actor-pool cold start (which dominated small
-        # builds: ~13s of the first shard's wall time was pool spin-up).
-        ds = ds.map_batches(ExtractDocs(path_to_sid=path_to_sid),
-                            batch_format="pyarrow",
-                            batch_size=params.extract_batch_size)
-        tmp_root = os.path.join(index_dir, "_wave_docs")
-        import shutil
-        fsio.rmtree(tmp_root, ignore_errors=True)
-        _fs, _p = fsio.ray_fs_path(tmp_root)
-        ds.write_parquet(_p, partition_cols=["sid"], filesystem=_fs)
-        if os.environ.get("GRAFT_BUILD_STATS"):
-            print("=== phase-1 wave stats ===\n", ds.stats())
-        wave1 = round(time.time() - t1, 3)
-        _publish_partitions(tmp_root, pending1, docs_dir_for, DOCS_SCHEMA)
-        t1s = time.time()
-
-        def _doc_stats(sid: int) -> tuple[int, int, int]:
-            # per-shard doc stats from the written column (projection-pruned)
-            stat = fsio.pq_read_table(docs_dir_for[sid], columns=["doc_len"])
-            return sid, stat.num_rows, int(pc.sum(stat["doc_len"]).as_py() or 0)
-
-        for sid, n_docs, sum_dl in _threaded(_doc_stats, pending1):
-            ckpt.update_shard_record(
-                index_dir, sid, input_files=shard_map[sid],
-                n_docs=n_docs, sum_dl=sum_dl, phase1_wave_secs=wave1)
-            ckpt.mark_done(docs_dir_for[sid])
-        ckpt.update_shard_record(index_dir, pending1[0],
-                                 phase1_stats_secs=round(time.time() - t1s, 3))
-
-    # ---- phase 2 only: docs done, segments pending (resume after a crash
-    # between the old phases, or a deleted/invalidated seg dir) ------------
-    pending2 = [sid for sid in pending_segs if sid not in set(fused)]
-    if pending2:
-        t2 = time.time()
-        dir_to_sid = {docs_dir_for[sid]: sid for sid in pending2}
-        docs_files = [f for sid in pending2
-                      for f in _list_parquet(docs_dir_for[sid])]
-        # Merge width is pinned at the READ (one block per docs file,
-        # floored at 2x cores) — the sort-based groupby emits one output
-        # partition per input block, and sizing blocks here is free while
-        # repartitioning the heavy partial postings afterwards paid an
-        # extra all-to-all (~40% wall at 8 CPUs, x256 measured) and Ray's
-        # ~200-task parallelism floor over-split the sort at 32.  This
-        # also closes the ADVICE r3 caveat: override_num_blocks is an
-        # exact pin, not a file-count proxy Ray's bundling could defeat.
-        target = params.merge_parallelism or _ncpu()
-        docs = rd.read_parquet(docs_files,
-                               columns=["doc_id", "text", "doc_len"],
-                               include_paths=True,
-                               override_num_blocks=max(2 * target,
-                                                       len(docs_files)))
-        partials = docs.map_batches(
-            PartialPostingsBuilder(num_salts=params.num_salts,
-                                   head_df_frac=params.head_df_frac,
-                                   dir_to_sid=dir_to_sid,
-                                   positions=params.positions),
-            batch_format="pyarrow", batch_size=params.postings_batch_size)
-        # shard id is part of the shuffle key: ONE all-to-all covers every
-        # pending shard (doc sets are disjoint across shards, so grouping by
-        # (sid, term, salt) merges exactly what per-shard shuffles did)
-        segs = partials.groupby(["sid", "term", "salt"]).map_groups(
-            merge_postings, batch_format="pyarrow")
-        # map_groups emits ONE-ROW blocks; written as-is each row becomes
-        # its own parquet row group (~570 per file), which made segment
-        # reads metadata-bound (~5x slower).  Coalesce before the write.
-        segs = segs.map_batches(lambda b: b, batch_format="pyarrow",
-                                batch_size=SEG_ROW_GROUP)
-        tmp_root = os.path.join(index_dir, "_wave_seg")
-        import shutil
-        fsio.rmtree(tmp_root, ignore_errors=True)
-        _fs, _p = fsio.ray_fs_path(tmp_root)
-        segs.write_parquet(_p, partition_cols=["sid"], filesystem=_fs)
-        if os.environ.get("GRAFT_BUILD_STATS"):
-            print("=== phase-2 wave stats ===\n", segs.stats())
-        wave2 = round(time.time() - t2, 3)
-        _publish_partitions(tmp_root, pending2, seg_dir_for, SEGMENT_SCHEMA)
-        t2s = time.time()
-
-        def _seg_stats(sid: int) -> tuple[int, int, int, int]:
-            meta = fsio.pq_read_table(seg_dir_for[sid], columns=["df"])
-            seg_bytes = sum(
-                fsio.getsize(os.path.join(seg_dir_for[sid], f))
-                for f in fsio.listdir(seg_dir_for[sid]) if f.endswith(".parquet"))
-            return (sid, meta.num_rows,
-                    int(pc.sum(meta["df"]).as_py() or 0), seg_bytes)
-
-        for sid, n_rows, n_post, seg_bytes in _threaded(_seg_stats, pending2):
-            ckpt.update_shard_record(
-                index_dir, sid, n_term_shards=n_rows,
-                n_postings=n_post, seg_bytes=seg_bytes,
-                bytes_per_posting=round(seg_bytes / max(1, n_post), 3),
-                format_version=FORMAT_VERSION,
-                positions=params.positions,
-                phase2_wave_secs=wave2)
-            ckpt.mark_done(seg_dir_for[sid])
-        ckpt.update_shard_record(index_dir, pending2[0],
-                                 phase2_stats_secs=round(time.time() - t2s, 3))
 
 
 def _verify_unique_doc_ids(index_dir: str, n_shards: int) -> None:
@@ -942,7 +831,6 @@ def _finalize(index_dir: str, n_shards: int, params: BuildParams,
         except (OSError, ValueError):
             prev_td = None
     ckpt.write_json(mf_path, manifest)
-    import shutil
     keep = {td_name, prev_td}
     for f in fsio.listdir(index_dir):
         if ((f == "termdict.parquet" or f.startswith("termdict-"))
@@ -1117,49 +1005,9 @@ def merge_segment_rows(group: pa.Table,
         doc, tf, dl = doc[keep], tf[keep], dl[keep]
         if doc.size == 0:
             return group.slice(0, 0)  # term fully deleted: drop the row
-    order = np.argsort(doc, kind="stable")
-    poss_sorted = None
-    if has_pos:
-        tf64 = tf.astype(np.int64)
-        pstart = np.concatenate(([0], np.cumsum(tf64)))[:-1]
-        lens = tf64[order]
-        within = (np.arange(int(lens.sum()))
-                  - np.repeat(np.concatenate(([0], np.cumsum(lens)))[:-1],
-                              lens))
-        poss_sorted = flat_pos[np.repeat(pstart[order], lens) + within]
-    doc, tf, dl = doc[order], tf[order], dl[order]
-    if doc.size > 1 and (np.diff(doc) <= 0).any():
-        raise ValueError(
-            f"duplicate doc_id across compacted shards for term={term!r}; "
-            "source shards must hold disjoint doc sets")
-    enc = encode_postings(doc, tf, dl, poss_sorted)
-    return pa.table({
-        "sid": pa.array([sid], pa.int32()),
-        "term": pa.array([term], pa.string()),
-        "salt": pa.array([salt], pa.int32()),
-        "df": pa.array([enc.df], pa.int64()),
-        "doc_bytes": pa.array([enc.doc_bytes], pa.binary()),
-        "tf_bytes": pa.array([enc.tf_bytes], pa.binary()),
-        "block_first": pa.array([enc.block_first.tolist()],
-                                pa.list_(pa.int64())),
-        "block_last": pa.array([enc.block_last.tolist()],
-                               pa.list_(pa.int64())),
-        "block_doc_off": pa.array([enc.block_doc_off.tolist()],
-                                  pa.list_(pa.int32())),
-        "block_tf_off": pa.array([enc.block_tf_off.tolist()],
-                                 pa.list_(pa.int32())),
-        "block_max_tf": pa.array([enc.block_max_tf.tolist()],
-                                 pa.list_(pa.int64())),
-        "block_min_dl": pa.array([enc.block_min_dl.tolist()],
-                                 pa.list_(pa.int32())),
-        "pos_bytes": pa.array([enc.pos_bytes], pa.binary()),
-        "block_pos_off": pa.array(
-            [enc.block_pos_off.tolist() if enc.block_pos_off is not None
-             else []], pa.list_(pa.int32())),
-        "imp_tf": pa.array([enc.imp_tf.tolist()], pa.list_(pa.int64())),
-        "imp_dl": pa.array([enc.imp_dl.tolist()], pa.list_(pa.int32())),
-        "imp_n": pa.array([enc.imp_n.tolist()], pa.list_(pa.int32())),
-    })
+    return _encode_group(sid, term, salt, doc, tf, dl, flat_pos,
+                         "compacted source shards must hold disjoint doc "
+                         "sets")
 
 
 def _binary_col_flat(col: pa.ChunkedArray) -> np.ndarray:
@@ -1174,11 +1022,19 @@ def _binary_col_flat(col: pa.ChunkedArray) -> np.ndarray:
     return np.frombuffer(arr.buffers()[2], dtype=np.uint8)[offs[0]:offs[-1]]
 
 
+# 128 KiB payload -> ~1.5 MB of decode temporaries: stays inside a worker's
+# PRIVATE cache.  Measured on the x4096 1%-purge at 32-way concurrency:
+# 2 MiB chunks thrash the SHARED cache and inflate the merge-task work sum
+# 4.1x over the 8-way run (496 s vs 121 s); 128 KiB holds the inflation to
+# 4% and the 8->32 CPU scaling efficiency at 0.8.
+MERGE_CHUNK_BYTES = 128 << 10
+
+
 def merge_groups_batched(t: pa.Table, starts: np.ndarray, ends: np.ndarray,
                          merge_idx: np.ndarray,
                          tombstones: np.ndarray | None,
                          group_bytes: np.ndarray | None = None,
-                         chunk_bytes: int | None = None) -> pa.Table:
+                         chunk_bytes: int = MERGE_CHUNK_BYTES) -> pa.Table:
     """Chunking wrapper around :func:`_merge_groups_chunk`: partitions
     ``merge_idx`` into runs of ~``chunk_bytes`` encoded payload and
     merges each run in one vectorized pass.  One flat pass over the
@@ -1192,15 +1048,6 @@ def merge_groups_batched(t: pa.Table, starts: np.ndarray, ends: np.ndarray,
     caller already has them from the passthrough screen)."""
     if merge_idx.size == 0:
         return t.slice(0, 0)
-    if chunk_bytes is None:
-        # 128 KiB payload -> ~1.5 MB of decode temporaries: stays inside a
-        # worker's PRIVATE cache.  Measured on the x4096 1%-purge at 32-way
-        # concurrency: 2 MiB chunks thrash the SHARED cache and inflate the
-        # merge-task work sum 4.1x over the 8-way run (496 s vs 121 s);
-        # 128 KiB holds the inflation to 4% and the 8->32 CPU scaling
-        # efficiency at 0.8.  Observable via GRAFT_MERGE_CHUNK_BYTES.
-        chunk_bytes = int(os.environ.get("GRAFT_MERGE_CHUNK_BYTES",
-                                         128 << 10))
     if group_bytes is None:
         row_b = (pc.binary_length(t["doc_bytes"]).to_numpy(
                      zero_copy_only=False).astype(np.int64)
@@ -1478,16 +1325,12 @@ def _merge_range(files: dict[str, tuple[int, list[tuple[int, int, int]]]],
         if merge_idx.size:
             # pos-bearing groups keep the per-group path (the batched
             # merge does not re-encode positional streams); everything
-            # else merges in ONE vectorized pass.  A >1 GiB task falls
-            # back wholesale (int32 binary offsets in the batched output).
+            # else merges in vectorized ~MERGE_CHUNK_BYTES chunks.
             pos_row = pc.binary_length(t["pos_bytes"]).to_numpy(
                 zero_copy_only=False).astype(np.int64)
             grp_has_pos = np.add.reduceat(pos_row, starts) > 0
-            big = int(run_bytes[merge_idx].sum()) >= (1 << 30)
-            legacy_idx = merge_idx if big \
-                else merge_idx[grp_has_pos[merge_idx]]
-            batched_idx = merge_idx[:0] if big \
-                else merge_idx[~grp_has_pos[merge_idx]]
+            legacy_idx = merge_idx[grp_has_pos[merge_idx]]
+            batched_idx = merge_idx[~grp_has_pos[merge_idx]]
             outs.extend(
                 merge_segment_rows(t.slice(starts[i], ends[i] - starts[i]),
                                    ts if group_hit[i] else None)
@@ -1629,7 +1472,6 @@ def compact_index(index_dir: str, out_dir: str,
     # driver-side cost was a third of the compact wall at x256).  At 100 TB
     # the docs payload dominates compaction; a driver-side copy would be
     # the whole job.
-    import shutil
     t1 = time.time()
     setup_secs = round(t1 - t0, 3)
     docs_dir_for = {g: os.path.join(ckpt.shard_dir(out_dir, g), "docs")
@@ -1803,9 +1645,8 @@ def compact_index(index_dir: str, out_dir: str,
         # byte-heavy head-term ranges the mispredicted-slow ones, so a
         # LOW row weight now balances best: x4096 1%-purge sweep at 32
         # CPUs — 30 K: max task 4.6 s over a 0.44 s p50 (wall 10.1 s);
-        # 1-3 K: max 2.0-2.4 s, wall 8.0-8.7 s.  Observable via
-        # GRAFT_MERGE_ROW_COST.
-        _ROW_COST = int(os.environ.get("GRAFT_MERGE_ROW_COST", 2_000))
+        # 1-3 K: max 2.0-2.4 s, wall 8.0-8.7 s.
+        _ROW_COST = 2_000
         heavy = [r for r in rg_meta
                  if r[5] > step or r[5] > heavy_passthrough_bytes]
 
@@ -1960,16 +1801,8 @@ def compact_index(index_dir: str, out_dir: str,
         phase["publish"] = round(time.time() - t2 - wave, 3)
         t3 = time.time()
 
-        def _seg_stats(g: int) -> tuple[int, int, int, int]:
-            meta = fsio.pq_read_table(seg_dir_for[g], columns=["df"])
-            seg_bytes = sum(
-                fsio.getsize(os.path.join(seg_dir_for[g], f))
-                for f in fsio.listdir(seg_dir_for[g])
-                if f.endswith(".parquet"))
-            return (g, meta.num_rows,
-                    int(pc.sum(meta["df"]).as_py() or 0), seg_bytes)
-
-        for g, n_rows, n_post, seg_bytes in _threaded(_seg_stats, pending):
+        for g, (n_rows, n_post, seg_bytes) in zip(pending, _threaded(
+                lambda g: _seg_stats(seg_dir_for[g]), pending)):
             ckpt.update_shard_record(
                 out_dir, g, n_term_shards=n_rows,
                 n_postings=n_post, seg_bytes=seg_bytes,

@@ -904,7 +904,6 @@ class IndexReader:
     # ------------------------------------------------------------- search --
 
     def search(self, query_text: str, k: int = 10, mode: str = "or",
-               density_cutoff: float = 0.10,
                mask: np.ndarray | None = None,
                exclude: str | None = None,
                after: tuple[float, int] | None = None,
@@ -915,8 +914,8 @@ class IndexReader:
         A budget-0 one-shot reader uses block-max WAND when terms are
         selective (decode only the blocks the bounds can't prune) and
         the single-pass vectorized exhaustive scorer on dense lists
-        (mean df/N above the cutoff — every window must be scored
-        anyway).  All paths are rank-identical (tested).
+        (mean df/N above 0.10 — every window must be scored anyway).
+        All paths are rank-identical (tested).
         ``mask``: see :meth:`make_doc_mask`.
 
         Query syntax (``_preprocess``, shared by all three scorers):
@@ -940,7 +939,7 @@ class IndexReader:
             return self.search_exhaustive(query_text, k, mode, mask=mask,
                                           after=after)
         mean_density = sum(self._df.get(t, 0) for t in terms) / (len(terms) * max(1, self.n_docs))
-        if mean_density > density_cutoff:
+        if mean_density > 0.10:
             return self.search_exhaustive(query_text, k, mode, mask=mask,
                                           after=after)
         return self.search_wand(query_text, k, mode, mask=mask, after=after)

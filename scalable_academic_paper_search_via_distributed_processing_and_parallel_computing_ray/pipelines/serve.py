@@ -23,7 +23,7 @@ import threading
 import traceback
 
 import ray
-from ray.exceptions import RayTaskError
+from ray.exceptions import RayActorError, RayChannelError, RayTaskError
 
 from ..state import fsio
 from .query import IndexReader, TopkResult, load_tombstones
@@ -215,8 +215,9 @@ class DistributedSearcher:
     * an op that raises in an actor (an unregistered filter, say) comes
       back as the same ``RayTaskError`` a plain call raises, fails only
       its own request, and leaves the graph usable.  A dead actor fails
-      the request at once, and every request after it, since the
-      unfinished execution holds the one slot; nothing restarts.
+      the request at once, and every request after it, with a
+      ``RuntimeError`` that says a shard actor died (the unfinished
+      execution holds the one slot); nothing restarts.
 
     While the graph is live an idle actor reads ~100% CPU in ``/proc``:
     its loop polls the input channel, but yields the CPU to any other
@@ -232,6 +233,7 @@ class DistributedSearcher:
         self._lock = threading.Lock()  # held over each graph execution
         self._qlock = threading.Lock()  # guards _queue and _busy
         self._graph, self._queue, self._busy = None, [], False
+        self._dead: str | None = None  # set once an actor has died
         self._mf_path = fsio.join(index_dir, "manifest.json")
         self._snap: tuple = (None, None, None)
         manifest, _ = self.snapshot()
@@ -293,6 +295,8 @@ class DistributedSearcher:
             with self._lock:
                 if not self.actors:
                     raise RuntimeError("searcher is shut down")
+                if self._dead is not None:
+                    raise RuntimeError(self._dead)
                 if self._graph is None:
                     from ray.dag import InputNode, MultiOutputNode
                     with InputNode() as inp:
@@ -300,8 +304,15 @@ class DistributedSearcher:
                                                for a in self.actors])
                     self._graph = dag.experimental_compile(
                         _max_inflight_executions=1)
-                per_actor = ray.get(self._graph.execute(
-                    [c for s in batch for c in s["calls"]]), timeout=-1)
+                try:
+                    per_actor = ray.get(self._graph.execute(
+                        [c for s in batch for c in s["calls"]]), timeout=-1)
+                except (RayActorError, RayChannelError) as exc:
+                    # a killed actor surfaces as ActorDiedError, or as
+                    # "Channel closed" once Ray has torn the graph down
+                    self._dead = ("a shard actor died; this searcher cannot "
+                                  f"serve again ({type(exc).__name__}: {exc})")
+                    raise RuntimeError(self._dead) from exc
             cols = list(zip(*per_actor))  # per call: one result per actor
             for s in batch:
                 s["out"], cols = cols[:len(s["calls"])], cols[len(s["calls"]):]

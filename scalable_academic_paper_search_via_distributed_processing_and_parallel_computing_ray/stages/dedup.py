@@ -154,7 +154,7 @@ def minhash_verified_pairs(ds: Dataset, threshold: float = 0.8,
                            num_perm: int = 128, num_bands: int = 16,
                            shingle_k: int = 3, text_col: str = "text",
                            max_bucket: int = 4096,
-                           concurrency=(2, 8)) -> pa.Table:
+                           concurrency=(1, 8)) -> pa.Table:
     """Verified near-dup pairs via MinHash+LSH: docs sharing a
     (band, band_hash) bucket are candidates, and the signature-estimated
     Jaccard (``mean(sig_a == sig_b)``) is verified INSIDE the bucket —
@@ -834,7 +834,7 @@ def embedding_dup_pairs_lsh(ds: Dataset, threshold: float = 0.9,
                                "bits_per_band": bits_per_band,
                                "seed": seed, "id_col": id_col,
                                "vec_col": vec_col, "scheme": scheme},
-        batch_format="pyarrow", concurrency=(2, 8))
+        batch_format="pyarrow", concurrency=(1, 8))
 
     _EMPTY = pa.table({"a": pa.array([], pa.int64()),
                        "b": pa.array([], pa.int64()),

@@ -112,31 +112,22 @@ class PartialPostingsBuilder:
     the actor's lifetime (loaded once in ``__init__`` — reference analog: the
     per-partition scorer state in ``bm25_searcher.py:64-69``).
 
-    ``dir_to_sid``: docs-directory -> shard id, resolved from the ``path``
-    column (``include_paths=True``); one pipeline covers every pending shard
-    and batches may mix shards, so runs group by (sid, term).  Without a
-    mapping (single-shard/test use) sid is 0.
+    ``sid``: the shard-id column :class:`ExtractDocs` tags rows with; one
+    pipeline covers every pending shard and batches may mix shards, so
+    runs group by (sid, term).  Without the column (single-shard/test use)
+    sid is 0.
     """
 
     def __init__(self, num_salts: int = 16, head_df_frac: float = 0.05,
-                 dir_to_sid: dict[str, int] | None = None,
                  positions: bool = False):
         self.num_salts = int(num_salts)
         self.head_df_frac = float(head_df_frac)
-        self.dir_to_sid = dir_to_sid
         self.positions = bool(positions)
 
     def _sids(self, batch: pa.Table) -> np.ndarray:
         if "sid" in batch.column_names:
-            # fused single-wave build: extraction already tagged each row
             return batch["sid"].to_numpy(zero_copy_only=False) \
                 .astype(np.int32)
-        if self.dir_to_sid is not None and "path" in batch.column_names:
-            import os
-            return np.fromiter(
-                (self.dir_to_sid[os.path.dirname(p)]
-                 for p in batch["path"].to_pylist()),
-                dtype=np.int32, count=batch.num_rows)
         return np.zeros(batch.num_rows, dtype=np.int32)
 
     def _salts_for_runs(self, terms: pa.Array, df_part: np.ndarray,

@@ -106,16 +106,33 @@ def test_partition_invariance(ray_session, pages_dir, tmp_path, index_dir):
 
 
 def test_resume_equals_fresh(ray_session, pages_dir, tmp_path):
+    """A resumed build re-runs, whole, every shard that lacks either
+    done-marker, and scores like a fresh build (WAND and exhaustive):
+    shard 0 lost its docs/ while its segments were done, shard 1 its
+    seg/, shard 2 both, and shard 3 only its seg/_SUCCESS marker (a crash
+    between the two marker writes)."""
     d = str(tmp_path / "idxr")
-    build.build_index(pages_dir, d, build.BuildParams(num_shards=3, num_salts=2))
-    fresh = _fmt(query.IndexReader(d).search_wand("spark data join", 10))
-    # simulate a crash after shard 0: drop shard 1/2 outputs and one marker
-    shutil.rmtree(os.path.join(d, "shards", "shard-0001", "seg"))
-    shutil.rmtree(os.path.join(d, "shards", "shard-0002", "docs"))
-    shutil.rmtree(os.path.join(d, "shards", "shard-0002", "seg"))
-    build.build_index(pages_dir, d, build.BuildParams(num_shards=3, num_salts=2))
-    resumed = _fmt(query.IndexReader(d).search_wand("spark data join", 10))
-    assert resumed == fresh
+    params = build.BuildParams(num_shards=4, num_salts=2)
+    m_fresh = build.build_index(pages_dir, d, params)
+
+    def _results():
+        r = query.IndexReader(d)
+        return [(_fmt(r.search_wand(q["query_text"], q["k"], q["mode"])),
+                 _fmt(r.search_exhaustive(q["query_text"], q["k"], q["mode"])))
+                for q in QUERY_SET]
+
+    fresh = _results()
+    shard = [os.path.join(d, "shards", f"shard-{i:04d}") for i in range(4)]
+    shutil.rmtree(os.path.join(shard[0], "docs"))
+    shutil.rmtree(os.path.join(shard[1], "seg"))
+    shutil.rmtree(os.path.join(shard[2], "docs"))
+    shutil.rmtree(os.path.join(shard[2], "seg"))
+    os.remove(os.path.join(shard[3], "seg", "_SUCCESS"))
+    m = build.build_index(pages_dir, d, params)
+    assert m["n_docs"] == m_fresh["n_docs"]
+    assert [r["n_postings"] for r in m["shards"]] == \
+        [r["n_postings"] for r in m_fresh["shards"]]
+    assert _results() == fresh
 
 
 def test_doc_ids_strictly_ascending_in_segments(index_dir):

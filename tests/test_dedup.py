@@ -209,3 +209,59 @@ def test_lsh_rejects_negative_ids(ray_session):
                           {"vec_id": 2, "embedding": [1.0, 0.0, 0.0]}])
     with pytest.raises(Exception, match="non-negative"):
         dedup.embedding_dup_pairs_lsh(vecs, num_bands=4, bits_per_band=2)
+
+
+_TWO_CPU_CHILD = """
+import sys
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False, _temp_dir=sys.argv[2])
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.pipelines import queries
+for name in ("q_embdup_lsh", "q_dedup_minhash"):
+    print(name, getattr(queries, name)(sys.argv[1]).num_rows, flush=True)
+ray.shutdown()
+"""
+
+
+def test_band_pools_finish_at_two_cpus():
+    """At Ray num_cpus=2 the MinHash and hyperplane-LSH band actor pools
+    must leave a CPU to the read_parquet tasks that feed them.  With a
+    pool minimum of 2 the two actors held both CPUs, the reads never ran
+    and both jobs waited forever; so this runs in its own Ray session, in
+    a child process, under a deadline."""
+    import os
+    import shutil
+    import signal
+    import subprocess
+    import sys
+    import tempfile
+
+    from conftest import SF_DIR
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # Ray's socket paths must fit in 107 bytes: a short session dir
+    ray_tmp = tempfile.mkdtemp(prefix="rdd", dir="/tmp")
+    env = dict(os.environ, RAY_USAGE_STATS_ENABLED="0",
+               PYTHONPATH=os.pathsep.join(
+                   [root] + ([os.environ["PYTHONPATH"]]
+                             if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _TWO_CPU_CHILD, SF_DIR, ray_tmp], cwd=root,
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        start_new_session=True, text=True)
+    try:
+        out, _ = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        out = None
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        shutil.rmtree(ray_tmp, ignore_errors=True)
+    assert out is not None, "band pools did not finish within 120 s"
+    rows = dict(line.split() for line in out.splitlines())
+    assert proc.returncode == 0, out
+    assert int(rows["q_embdup_lsh"]) > 0 and int(rows["q_dedup_minhash"]) > 0
