@@ -2,7 +2,7 @@
 
     python -m scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.cli \
         build  --pages DIR --index DIR [--shards N] [--salts N]
-    ... search --index DIR --query "spark data join" [--k 10] [--mode or] [--method auto]
+    ... search --index DIR --query "spark data join" [--k 10] [--mode or]
     ... serve-demo --index DIR --actors 2 --query "..."
 
 Owns its Ray session (guarded init; the driver-contract module never inits).
@@ -115,8 +115,6 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--query", required=True)
     s.add_argument("--k", type=int, default=10)
     s.add_argument("--mode", choices=("or", "and"), default="or")
-    s.add_argument("--method", choices=("auto", "wand", "exhaustive"),
-                   default="auto")
     s.add_argument("--phrase", action="store_true",
                    help="treat the query as a phrase (positions=True "
                    "index required); see --slop")
@@ -216,12 +214,6 @@ def main(argv: list[str] | None = None) -> int:
             r = IndexReader(args.index, lazy=args.lazy)
             if args.phrase:
                 hits = r.search_phrase(args.query, args.k, slop=args.slop)
-            elif args.method == "wand":
-                hits = r.search_wand(args.query, args.k, args.mode,
-                                     exclude=args.exclude)
-            elif args.method == "exhaustive":
-                hits = r.search_exhaustive(args.query, args.k, args.mode,
-                                           exclude=args.exclude)
             else:
                 hits = r.search(args.query, args.k, args.mode,
                                 exclude=args.exclude)

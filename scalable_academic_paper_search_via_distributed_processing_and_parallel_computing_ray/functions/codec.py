@@ -5,9 +5,10 @@ Layout (SURVEY.md §1.4 "posting lists"): postings for one (term, salt) shard
 are split into fixed-size blocks of ``BLOCK_SIZE`` postings.  Each block's
 doc_ids are delta-encoded (first id absolute, then gaps) and varint-packed
 independently, so WAND can skip whole blocks without decoding them.  Per
-block we keep: first doc_id (for seeking), byte offsets into the two binary
-streams (skip pointers), and the max ``tf_norm`` (block-max upper bound,
-multiplied by idf at query time).
+block we keep: first and last doc_id (for seeking), byte offsets into the
+binary streams (skip pointers), and the Pareto frontier of its ``(tf,
+doc_len)`` pairs (block-max upper bound, scored and multiplied by idf at
+query time).
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ BLOCK_SIZE = 128  # postings per block
 
 # On-disk index format this codec (and the segment schema built on it)
 # produces.  v2 = raw (max_tf, min_dl) block bounds (extend-safe); v1 stored
-# precomputed block_max_tfnorm and is unreadable by v2 readers — IndexReader
-# and extend_index refuse it with a clear error instead of a deep KeyError.
+# a precomputed per-block max tf_norm and is unreadable by v2 readers —
+# IndexReader, extend_index and compact_index refuse any other version with
+# a clear "rebuild required" error instead of a deep KeyError.
 # v3 adds the (optional, possibly-empty) positional stream
 # ``pos_bytes`` / ``block_pos_off`` to every segment row.
 # v4 adds per-block impact Pareto frontiers (``imp_tf``/``imp_dl``/``imp_n``
@@ -30,7 +32,11 @@ BLOCK_SIZE = 128  # postings per block
 # bound exceeded theta and WAND could not skip; the frontier makes the
 # block bound the EXACT max per-doc score under ANY current avg_dl
 # (extend-safe for the same reason the raw v2 pair was).
-FORMAT_VERSION = 4
+# v5 drops the two v2/v3 per-block (max tf, min dl) list columns: no reader
+# used them, and a block's max tf / min dl are its frontier's first
+# ``imp_tf`` and last ``imp_dl``.  Each list column adds a column chunk to
+# every 32-row segment row group, so the two cost ~12% of index bytes.
+FORMAT_VERSION = 5
 
 
 # ---------------------------------------------------------------- varint ---
@@ -224,13 +230,13 @@ def expand_dl_lower_bounds(tfs: np.ndarray, imp_tf: np.ndarray,
 class EncodedPostings:
     """One (term, salt) shard: columnar fields stored in the segment table.
 
-    Block score bounds are stored as raw ``(max tf, min doc_len)`` per block,
-    NOT a precomputed tf_norm: ``tf_norm(tf, dl, avg_dl)`` is increasing in
-    tf and decreasing in dl, so ``tf_norm(max_tf, min_dl, avg_dl)`` is a
-    valid upper bound for ANY current global ``avg_dl`` — which is what lets
-    an index be extended with new shards (shifting avg_dl) without touching
-    already-written segments.  The reader derives the float bound at load
-    time (``pipelines/query.py``).
+    Block score bounds are stored as each block's impact frontier of raw
+    ``(tf, doc_len)`` pairs, NOT a precomputed tf_norm: the max of
+    ``tf_norm(tf, dl, avg_dl)`` over the frontier is the exact block max
+    for ANY current global ``avg_dl`` — which is what lets an index be
+    extended with new shards (shifting avg_dl) without touching
+    already-written segments.  The reader derives the float bound at
+    first use (``pipelines/query.py`` ``_BlockCursor``).
     """
     df: int                      # number of postings in this shard
     doc_bytes: bytes             # concatenated per-block varint(delta(doc_ids))
@@ -238,8 +244,6 @@ class EncodedPostings:
     block_first: np.ndarray      # int64 — first doc_id of each block
     block_doc_off: np.ndarray    # int32 — byte offset of each block in doc_bytes
     block_tf_off: np.ndarray     # int32 — byte offset of each block in tf_bytes
-    block_max_tf: np.ndarray     # int64 — max tf within each block
-    block_min_dl: np.ndarray     # int32 — min doc_len within each block
     block_last: np.ndarray       # int64 — last doc_id of each block (skip bound)
     # positional stream (empty when the index was built without positions):
     # per posting, its doc's ``tf`` token positions (stop-filtered sequence,
@@ -251,8 +255,8 @@ class EncodedPostings:
     block_pos_off: np.ndarray | None = None
     # v4 impact frontier (block_impact_frontier): per-block Pareto (tf, dl)
     # pairs, flattened block-major, tf descending within a block; imp_n =
-    # pairs per block.  None only on hand-built legacy test fixtures — the
-    # reader falls back to the (max_tf, min_dl) cross-doc bound then.
+    # pairs per block.  Every encoder and segment row sets them; the None
+    # defaults only keep the positional field order after pos_bytes.
     imp_tf: np.ndarray | None = None     # int64 flat
     imp_dl: np.ndarray | None = None     # int32 flat
     imp_n: np.ndarray | None = None      # int32 per block
@@ -275,7 +279,7 @@ def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray,
     assert tfs.size == n and dls.size == n
     if n == 0:
         z32, z64 = np.zeros(0, np.int32), np.zeros(0, np.int64)
-        return EncodedPostings(0, b"", b"", z64, z32, z32, z64, z32, z64,
+        return EncodedPostings(0, b"", b"", z64, z32, z32, z64,
                                b"", z32, z64, z32, z32)
     doc_ids = np.asarray(doc_ids, dtype=np.int64)
     starts = np.arange(0, n, BLOCK_SIZE, dtype=np.int64)
@@ -313,10 +317,6 @@ def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray,
         block_first=doc_ids[starts],
         block_doc_off=doc_off.astype(np.int32),
         block_tf_off=tf_off.astype(np.int32),
-        block_max_tf=np.maximum.reduceat(
-            np.asarray(tfs, dtype=np.int64), starts),
-        block_min_dl=np.minimum.reduceat(
-            np.asarray(dls, dtype=np.int64), starts).astype(np.int32),
         block_last=doc_ids[ends - 1],
         pos_bytes=pos_bytes,
         block_pos_off=pos_off,
@@ -452,8 +452,8 @@ def encode_postings_multi(doc_ids: np.ndarray, tfs: np.ndarray,
         doc_bytes, tf_bytes     -- one buffer each (np.uint8)
         doc_offsets, tf_offsets -- int64, len G+1: per-segment byte spans
         nblocks                 -- int64, len G: list-column lengths
-        block_first, block_last, block_max_tf   -- int64, len B
-        block_doc_off, block_tf_off, block_min_dl -- int32, len B
+        block_first, block_last     -- int64, len B
+        block_doc_off, block_tf_off -- int32, len B
         imp_tf (int64) / imp_dl (int32)  -- flat impact pairs, len P
         imp_n                   -- int32, len B: pairs per block
         imp_offsets             -- int64, len G+1: per-segment pair spans
@@ -472,10 +472,8 @@ def encode_postings_multi(doc_ids: np.ndarray, tfs: np.ndarray,
                 "nblocks": nblocks,
                 "block_first": np.zeros(0, np.int64),
                 "block_last": np.zeros(0, np.int64),
-                "block_max_tf": np.zeros(0, np.int64),
                 "block_doc_off": np.zeros(0, np.int32),
                 "block_tf_off": np.zeros(0, np.int32),
-                "block_min_dl": np.zeros(0, np.int32),
                 "imp_tf": np.zeros(0, np.int64),
                 "imp_dl": np.zeros(0, np.int32),
                 "imp_n": np.zeros(0, np.int32),
@@ -494,10 +492,7 @@ def encode_postings_multi(doc_ids: np.ndarray, tfs: np.ndarray,
     cum_tf = np.concatenate(([0], np.cumsum(tf_len)))
     gstarts = gends - gsizes
     seg_of_block = np.repeat(np.arange(gsizes.size, dtype=np.int64), nblocks)
-    tfs64 = np.asarray(tfs, dtype=np.int64)
-    dls64 = np.asarray(dls, dtype=np.int64)
-    imp_tf, imp_dl, imp_n = block_impact_frontier(tfs64, dls64,
-                                                  bstarts, bsizes)
+    imp_tf, imp_dl, imp_n = block_impact_frontier(tfs, dls, bstarts, bsizes)
     # per-segment pair spans: cumulative pairs at each segment's block start
     pair_cum = np.concatenate(([0], np.cumsum(imp_n, dtype=np.int64)))
     first_block = np.concatenate(([0], np.cumsum(nblocks)))
@@ -510,15 +505,10 @@ def encode_postings_multi(doc_ids: np.ndarray, tfs: np.ndarray,
         "nblocks": nblocks,
         "block_first": doc_ids[bstarts],
         "block_last": doc_ids[bstarts + bsizes - 1],
-        "block_max_tf": np.maximum.reduceat(tfs64, bstarts)
-        if bstarts.size else np.zeros(0, np.int64),
         "block_doc_off": (cum_doc[bstarts]
                           - cum_doc[gstarts][seg_of_block]).astype(np.int32),
         "block_tf_off": (cum_tf[bstarts]
                          - cum_tf[gstarts][seg_of_block]).astype(np.int32),
-        "block_min_dl": (np.minimum.reduceat(dls64, bstarts)
-                         if bstarts.size
-                         else np.zeros(0, np.int64)).astype(np.int32),
         "imp_tf": imp_tf,
         "imp_dl": imp_dl,
         "imp_n": imp_n,

@@ -91,8 +91,6 @@ SEGMENT_SCHEMA = pa.schema([
     ("block_last", pa.list_(pa.int64())),
     ("block_doc_off", pa.list_(pa.int32())),
     ("block_tf_off", pa.list_(pa.int32())),
-    ("block_max_tf", pa.list_(pa.int64())),
-    ("block_min_dl", pa.list_(pa.int32())),
     ("pos_bytes", pa.binary()),             # b"" when built without positions
     ("block_pos_off", pa.list_(pa.int32())),
     # v4 impact Pareto frontier (codec.block_impact_frontier): flat (tf, dl)
@@ -180,8 +178,6 @@ def _encode_group(sid: int, term: str, salt: int, doc: np.ndarray,
         "block_last": pa.array([enc.block_last.tolist()], pa.list_(pa.int64())),
         "block_doc_off": pa.array([enc.block_doc_off.tolist()], pa.list_(pa.int32())),
         "block_tf_off": pa.array([enc.block_tf_off.tolist()], pa.list_(pa.int32())),
-        "block_max_tf": pa.array([enc.block_max_tf.tolist()], pa.list_(pa.int64())),
-        "block_min_dl": pa.array([enc.block_min_dl.tolist()], pa.list_(pa.int32())),
         "pos_bytes": pa.array([enc.pos_bytes], pa.binary()),
         "block_pos_off": pa.array(
             [enc.block_pos_off.tolist() if enc.block_pos_off is not None
@@ -198,9 +194,10 @@ def _flat(group: pa.Table, col: str) -> np.ndarray:
 
 def merge_postings(group: pa.Table) -> pa.Table:
     """Per-(sid, term, salt) merge: k-way concat of sorted partial lists ->
-    delta+varint encoded postings row with raw (max_tf, min_dl) block bounds.
-    Needs NO global state (the avg_dl-dependent bound is derived at read
-    time), so segment shards stay valid when the index is later extended."""
+    delta+varint encoded postings row with per-block raw (tf, dl) impact
+    frontiers.  Needs NO global state (the avg_dl-dependent bound is
+    derived at read time), so segment shards stay valid when the index is
+    later extended."""
     return _encode_group(
         group["sid"][0].as_py(), group["term"][0].as_py(),
         group["salt"][0].as_py(), _flat(group, "doc_ids"),
@@ -461,7 +458,7 @@ def _build_shards(index_dir: str, shard_map: dict[int, list[str]],
     (extraction, docs checkpoint and segments), whichever marker it
     lacked: a crash between the two marker writes and hand-deleted files
     are rare, and one pipeline is cheaper to keep right than three.  The
-    wave is avg_dl-independent (block bounds store raw max_tf/min_dl), so
+    wave is avg_dl-independent (block bounds store raw (tf, dl) pairs), so
     this is safe both for a fresh build and for appending new shards to an
     existing index."""
     if params.k1 != bm25.K1 or params.b != bm25.B:
@@ -890,8 +887,8 @@ def extend_index(pages_path: str | list[str], index_dir: str,
     SURVEY.md §4.1 "Spark jobs restart from zero").
 
     Existing postings stay valid because block score bounds are stored as
-    raw (max_tf, min_dl) and the avg_dl-dependent BM25 bound is derived at
-    read time; only the cheap global artifacts (stats.json,
+    raw (tf, dl) impact frontiers and the avg_dl-dependent BM25 bound is
+    derived at read time; only the cheap global artifacts (stats.json,
     termdict.parquet, manifest.json) are recomputed.  Scores after an extend
     are IDENTICAL to a fresh build over the union of inputs (global df and
     avg_dl are whole-index quantities; tested in tests/test_extend.py).
@@ -935,15 +932,12 @@ def _enc_from_row(row: dict) -> EncodedPostings:
         block_first=np.asarray(row["block_first"], dtype=np.int64),
         block_doc_off=np.asarray(row["block_doc_off"], dtype=np.int32),
         block_tf_off=np.asarray(row["block_tf_off"], dtype=np.int32),
-        block_max_tf=np.asarray(row["block_max_tf"], dtype=np.int64),
-        block_min_dl=np.asarray(row["block_min_dl"], dtype=np.int32),
         block_last=np.asarray(row["block_last"], dtype=np.int64),
-        pos_bytes=row.get("pos_bytes") or b"",
-        block_pos_off=np.asarray(row.get("block_pos_off") or [],
-                                 dtype=np.int32),
-        imp_tf=np.asarray(row.get("imp_tf") or [], dtype=np.int64),
-        imp_dl=np.asarray(row.get("imp_dl") or [], dtype=np.int32),
-        imp_n=np.asarray(row.get("imp_n") or [], dtype=np.int32),
+        pos_bytes=row["pos_bytes"],
+        block_pos_off=np.asarray(row["block_pos_off"], dtype=np.int32),
+        imp_tf=np.asarray(row["imp_tf"], dtype=np.int64),
+        imp_dl=np.asarray(row["imp_dl"], dtype=np.int32),
+        imp_n=np.asarray(row["imp_n"], dtype=np.int32),
     )
 
 
@@ -961,8 +955,7 @@ def merge_segment_rows(group: pa.Table,
     it reproduces a single block's frontier exactly, keeping the
     single-row byte-identity invariant).  tf_norm is decreasing in dl, so
     the resulting block bounds stay valid WAND upper bounds — scores and
-    results are unchanged (doc lengths live in the docs table).  Legacy
-    rows without imp columns fall back to the block-min-dl surrogate.
+    results are unchanged (doc lengths live in the docs table).
     A single-row group re-encodes byte-identically and is passed through
     untouched.
     """
@@ -1191,8 +1184,6 @@ def _merge_groups_chunk(t: pa.Table, starts: np.ndarray, ends: np.ndarray,
         "block_last": _lst(enc["block_last"], pa.int64()),
         "block_doc_off": _lst(enc["block_doc_off"], pa.int32()),
         "block_tf_off": _lst(enc["block_tf_off"], pa.int32()),
-        "block_max_tf": _lst(enc["block_max_tf"], pa.int64()),
-        "block_min_dl": _lst(enc["block_min_dl"], pa.int32()),
         "pos_bytes": _bin(np.zeros(0, np.uint8),
                           np.zeros(M + 1, np.int64)),
         # no positions: per-block zero offsets, matching encode_postings

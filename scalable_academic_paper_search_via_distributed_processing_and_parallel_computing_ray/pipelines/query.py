@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..functions import bm25
-from ..functions.codec import (BLOCK_SIZE, FORMAT_VERSION, EncodedPostings,
+from ..functions.codec import (FORMAT_VERSION, EncodedPostings,
                                decode_block, decode_positions,
                                decode_postings)
 from ..functions.tokenize import tokenize_filtered
@@ -110,14 +110,15 @@ def fetch_docs(index_dir: str, doc_ids, *, manifest: dict | None = None,
     set, instead of one fetch round-trip per id (the serving snippets path
     needs k docs per request — per-hit ``fetch_doc`` re-read the manifest,
     every tombstone parquet, and the shard footers k times).  Tombstoned
-    and absent ids are simply missing from the result.  Early-outs once
-    every id is found, so single-id lookups touch one shard on average.
+    and absent ids are simply missing from the result.
 
     Fast path: each shard's doc-store sidecar (``state/docstore.py``)
     resolves ids to exact (file, row group, row) in O(k) pruned reads —
     a lookup never scans a shard — and hot rows come from the doc store's
     in-process cache.  Tombstoned ids are dropped before it is consulted.
-    Missing/stale sidecars fall back to the filtered scan below.  ``columns`` prunes the doc payload read
+    Missing/stale sidecars fall back to a filtered scan of every shard,
+    run concurrently on the doc store's read pool (the filtered parquet
+    reads release the GIL).  ``columns`` prunes the doc payload read
     (``doc_id`` is always included — the result is keyed on it)."""
     ids = sorted({int(i) for i in doc_ids})
     if not ids:
@@ -137,8 +138,6 @@ def fetch_docs(index_dir: str, doc_ids, *, manifest: dict | None = None,
     if columns is not None and "doc_id" not in columns:
         columns = ["doc_id", *columns]
     from ..state import docstore
-    out: dict[int, dict] = {}
-    remaining = set(ids)
     n_shards = int(manifest["n_shards"])
     if manifest.get("docs_idx"):
         # sidecar fast path; None = a missing/stale sidecar in some shard
@@ -149,36 +148,16 @@ def fetch_docs(index_dir: str, doc_ids, *, manifest: dict | None = None,
             ids, columns=columns)
         if got is not None:
             return got
-    if len(remaining) > 1 and n_shards > 1:
-        # multi-id lookups (the serving snippets path: k hits spread
-        # across shards — url-hash ids carry no shard locality, so every
-        # shard gets probed) read the shards CONCURRENTLY: the filtered
-        # parquet reads release the GIL, so a small thread pool turns
-        # n_shards sequential row-group scans into one round-trip
-        flt = [("doc_id", "in", sorted(remaining))]
-        tables = list(docstore._read_pool().map(
-            lambda s: fsio.pq_read_table(
-                os.path.join(shards_root, s, "docs"), filters=flt,
-                columns=columns),
-            (f"shard-{i:04d}" for i in range(n_shards))))
-        for t in tables:
-            for row in t.to_pylist():
-                did = int(row["doc_id"])
-                if did in remaining:
-                    out[did] = row
-                    remaining.discard(did)
-        return out
-    for s in (f"shard-{i:04d}" for i in range(n_shards)):
-        if not remaining:
-            break
-        t = fsio.pq_read_table(os.path.join(shards_root, s, "docs"),
-                          filters=[("doc_id", "in", sorted(remaining))],
-                          columns=columns)
+    flt = [("doc_id", "in", ids)]
+    tables = docstore._read_pool().map(
+        lambda s: fsio.pq_read_table(
+            os.path.join(shards_root, s, "docs"), filters=flt,
+            columns=columns),
+        (f"shard-{i:04d}" for i in range(n_shards)))
+    out: dict[int, dict] = {}
+    for t in tables:
         for row in t.to_pylist():
-            did = int(row["doc_id"])
-            if did in remaining:
-                out[did] = row
-                remaining.discard(did)
+            out.setdefault(int(row["doc_id"]), row)
     return out
 
 
@@ -192,20 +171,13 @@ class _BlockCursor:
     """Block-granular view over one (term, salt) shard."""
 
     __slots__ = ("enc", "term_i", "idf", "ub", "rest", "bi", "nb",
-                 "_ids", "_tfs", "_pos", "_full")
+                 "_ids", "_tfs")
 
     def __init__(self, enc: EncodedPostings, term_i: int, idf: float,
-                 avg_dl: float,
-                 full: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+                 avg_dl: float):
         self.enc = enc
         self.term_i = term_i
         self.idf = idf
-        # ``full``: this enc's already-decoded (ids, tfs, dense_idx) slice
-        # from the reader's term cache — decoded() then slices instead
-        # of varint-decoding per search, and the dense positions skip the
-        # per-window searchsorted (block decode was ~30% of a cached
-        # reader's selective-query time, recurring every request)
-        self._full = full
         # bounds depend only on (avg_dl, idf), both fixed for a reader's
         # lifetime (extend_index re-opens readers), so cache them on the
         # enc — the frontier tf_norm pass otherwise re-runs per search
@@ -236,7 +208,7 @@ class _BlockCursor:
             enc._wand_bounds = (avg_dl, idf, self.ub, self.rest)
         self.bi = 0
         self.nb = enc.block_first.size
-        self._ids = self._tfs = self._pos = None
+        self._ids = self._tfs = None
 
     @property
     def live(self) -> bool:
@@ -257,19 +229,12 @@ class _BlockCursor:
 
     def decoded(self) -> tuple[np.ndarray, np.ndarray]:
         if self._ids is None:
-            if self._full is not None:
-                lo = self.bi * BLOCK_SIZE
-                hi = min(self.enc.df, lo + BLOCK_SIZE)
-                self._ids = self._full[0][lo:hi]
-                self._tfs = self._full[1][lo:hi]
-                self._pos = self._full[2][lo:hi]
-            else:
-                self._ids, self._tfs = decode_block(self.enc, self.bi)
+            self._ids, self._tfs = decode_block(self.enc, self.bi)
         return self._ids, self._tfs
 
     def advance_block(self) -> None:
         self.bi += 1
-        self._ids = self._tfs = self._pos = None
+        self._ids = self._tfs = None
 
 
 def _after_mask(scores: np.ndarray, doc_ids: np.ndarray,
@@ -519,8 +484,6 @@ class IndexReader:
         bl_o, bl = flat("block_last", np.int64)
         bd_o, bd = flat("block_doc_off", np.int32)
         bt_o, bt = flat("block_tf_off", np.int32)
-        bm_o, bm = flat("block_max_tf", np.int64)
-        bn_o, bn = flat("block_min_dl", np.int32)
         bp_o, bp = flat("block_pos_off", np.int32)
         it_o, it = flat("imp_tf", np.int64)
         id_o, idl = flat("imp_dl", np.int32)
@@ -533,8 +496,6 @@ class IndexReader:
                 block_first=bf[bf_o[i]:bf_o[i + 1]],
                 block_doc_off=bd[bd_o[i]:bd_o[i + 1]],
                 block_tf_off=bt[bt_o[i]:bt_o[i + 1]],
-                block_max_tf=bm[bm_o[i]:bm_o[i + 1]],
-                block_min_dl=bn[bn_o[i]:bn_o[i + 1]],
                 block_last=bl[bl_o[i]:bl_o[i + 1]],
                 pos_bytes=p_data[p_offs[i]:p_offs[i + 1]],
                 block_pos_off=bp[bp_o[i]:bp_o[i + 1]],
@@ -1009,25 +970,9 @@ class IndexReader:
         cursors: list[_BlockCursor] = []
         for ti, t in enumerate(terms):
             idf_t = self.idf(t)
-            encs = self._encs(t)
-            # with a postings cache (serving config), decode the term ONCE
-            # through the shared LRU and hand each cursor its slice —
-            # repeat queries then skip both the varint decode and the
-            # per-window searchsorted.  Budget-0 readers keep lazy
-            # per-block decode (WAND's skip-the-decode property, the
-            # one-shot / at-scale path).
-            full = None
-            if self._cache_budget > 0 and encs:
-                e = self._term(t)
-                off = np.concatenate(
-                    ([0], np.cumsum([x.df for x in encs], dtype=np.int64)))
-            for ei, enc in enumerate(encs):
+            for enc in self._encs(t):
                 if enc.df:
-                    if self._cache_budget > 0:
-                        lo, hi = int(off[ei]), int(off[ei + 1])
-                        full = (e.ids[lo:hi], e.tfs[lo:hi], e.idx[lo:hi])
-                    cursors.append(_BlockCursor(enc, ti, idf_t, self.avg_dl,
-                                                full=full))
+                    cursors.append(_BlockCursor(enc, ti, idf_t, self.avg_dl))
         topk = _TopK(k)
         prev_hi = -1
         # pruning observability: how many blocks actually decoded vs exist
@@ -1082,8 +1027,7 @@ class IndexReader:
                     m = (ids > prev_hi) & (ids <= w_hi)
                     if m.any():
                         d, tf_w = ids[m], tfs[m]
-                        pos = (c._pos[m] if c._pos is not None
-                               else np.searchsorted(self._doc_ids, d))
+                        pos = np.searchsorted(self._doc_ids, d)
                         if mask is not None:
                             ok = mask[pos]
                             if not ok.any():
@@ -1150,36 +1094,19 @@ class IndexReader:
             return np.zeros(0, np.int64), np.zeros(0, np.int64)
         return np.concatenate(idx_parts), np.concatenate(pos_parts)
 
-    def _phrase_matched_exact(self, seq: list[str]) -> np.ndarray:
-        """Local doc indices containing ``seq`` consecutively (see
-        :meth:`search_phrase` — slot-aligned packed-key intersection)."""
-        keys = None
-        for i, t in enumerate(seq):
-            occ_idx, occ_pos = self._term_occurrences(t)
-            adj = occ_pos - i          # slot i aligns to the phrase start
-            ok = adj >= 0
-            # doc positions are < 2^31 (doc_len is int32); local doc index
-            # is < 2^31 — the packed key fits int64 exactly
-            kt = (occ_idx[ok] << np.int64(31)) | adj[ok]
-            keys = kt if keys is None else np.intersect1d(
-                keys, kt, assume_unique=True)
-            if keys.size == 0:
-                return np.zeros(0, np.int64)
-        return np.unique(keys >> np.int64(31))
-
     def _phrase_matched_slop(self, seq: list[str], slop: int) -> np.ndarray:
         """Local doc indices with an ORDERED occurrence chain of ``seq``
         (strictly increasing positions) whose span is at most
         ``len(seq) - 1 + slop`` — window proximity semantics; ``slop=0``
-        degenerates to the exact-consecutive predicate.
+        is the exact-consecutive predicate (the only phrase matcher).
 
         Vectorized left-to-right chain over occurrence streams: for each
         slot-i occurrence at position q, keep g(q) = the LATEST possible
         chain start over slots 0..i ending before/at q.  g propagates as a
         per-doc prefix maximum of the previous slot's g at the largest
         earlier position — one segmented cummax + one searchsorted per
-        slot, O(total occurrences log occ), the same postings-decode bound
-        as the exact path.  (If any chain satisfies the span limit, the
+        slot, O(total occurrences log occ) — the postings-decode bound of
+        the phrase terms.  (If any chain satisfies the span limit, the
         latest-start chain for its endpoint does too, so tracking only the
         maximum start is lossless.)"""
         limit = np.int64(len(seq) - 1 + slop)
@@ -1189,8 +1116,6 @@ class IndexReader:
             # _term_occurrences concatenates a term's (salt, shard) parts —
             # each part is (doc, pos)-sorted but the concatenation is NOT;
             # the searchsorted chain below needs global lexicographic order
-            # (the exact path's intersect1d sorts internally and never hit
-            # this)
             oi, op = self._term_occurrences(t)
             order = np.lexsort((op, oi))
             return oi[order], op[order]
@@ -1229,12 +1154,10 @@ class IndexReader:
         (global df/avg_dl), tie-break (score desc, doc_id asc) — a phrase
         is a match predicate, not a different scoring function.
 
-        Vectorized occurrence intersection (``slop=0``): each phrase slot i
-        contributes the key set {(doc, pos - i)}; a doc matches iff the
-        intersection of all slots is non-empty.  ``slop > 0`` switches to
-        the ordered-chain matcher (:meth:`_phrase_matched_slop`): terms in
-        order, window span <= len-1+slop.  Cost is O(sum of query-term
-        occurrence counts) either way — the same postings-decode bound as
+        One vectorized ordered-chain matcher
+        (:meth:`_phrase_matched_slop`): terms in order, window span <=
+        len-1+slop, so ``slop=0`` is exact adjacency.  Cost is O(sum of
+        query-term occurrence counts) — the same postings-decode bound as
         search_exhaustive, paid only for the (rare) phrase terms.
         Requires an index built with ``BuildParams(positions=True)``
         (codec v3 positional stream)."""
@@ -1252,8 +1175,7 @@ class IndexReader:
         if any(self._df.get(t, 0) == 0 or not self._has_term(t)
                for t in seq):
             return []
-        matched = (self._phrase_matched_exact(seq) if slop == 0
-                   else self._phrase_matched_slop(seq, slop))
+        matched = self._phrase_matched_slop(seq, slop)
         if mask is not None and matched.size:
             matched = matched[mask[matched]]
         if matched.size == 0:

@@ -123,7 +123,6 @@ class QueryShardActor:
         self._masks.pop(filter_id, None)
 
     def _op_search(self, query_text: str, k: int, mode: str,
-                   method: str = "auto",
                    filter_id: str | None = None,
                    exclude: str | None = None,
                    after: tuple[float, int] | None = None,
@@ -139,11 +138,9 @@ class QueryShardActor:
             raise KeyError(f"filter {filter_id!r} not registered "
                            "(call register_filter first)")
         mask = self._masks[filter_id] if filter_id is not None else None
-        r = self.reader
-        fn = {"wand": r.search_wand,
-              "exhaustive": r.search_exhaustive}.get(method, r.search)
-        hits = fn(query_text, k, mode, mask=mask, exclude=exclude,
-                  after=tuple(after) if after is not None else None)
+        hits = self.reader.search(
+            query_text, k, mode, mask=mask, exclude=exclude,
+            after=tuple(after) if after is not None else None)
         return [(h.doc_id, h.score) for h in hits]
 
     def _op_phrase(self, query_text: str, k: int, slop: int = 0,
@@ -351,16 +348,14 @@ class DistributedSearcher:
                     if p is not None)
 
     def search(self, query_text: str, k: int = 10, mode: str = "or",
-               method: str = "auto",
                filter_id: str | None = None,
                exclude: str | None = None,
                after: tuple[float, int] | None = None) -> list[TopkResult]:
         return _merge(self._scatter(("search", (
-            query_text, k, mode, method, filter_id, exclude, after,
+            query_text, k, mode, filter_id, exclude, after,
             self.snapshot()[1])))[0], k)
 
-    def search_many(self, queries: list[dict],
-                    method: str = "auto") -> list[list[TopkResult]]:
+    def search_many(self, queries: list[dict]) -> list[list[TopkResult]]:
         """Bulk search: ONE graph execution for the whole query list
         (query replay, eval runs, offline scoring).  Each query dict:
         ``{"query_text", "k", "mode"}``.  Rank-identical to per-query
@@ -368,8 +363,8 @@ class DistributedSearcher:
         ts = self.snapshot()[1]
         ks = [int(q.get("k", 10)) for q in queries]
         outs = self._scatter(*[("search", (
-            q["query_text"], k, q.get("mode", "or"), method, None, None,
-            None, ts)) for q, k in zip(queries, ks)])
+            q["query_text"], k, q.get("mode", "or"), None, None, None,
+            ts)) for q, k in zip(queries, ks)])
         return [_merge(parts, k) for parts, k in zip(outs, ks)]
 
     def explain(self, query_text: str, doc_id: int) -> dict | None:

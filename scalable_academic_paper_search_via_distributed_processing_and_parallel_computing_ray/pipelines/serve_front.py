@@ -110,7 +110,6 @@ class ServeState:
                 after = (float(after[0]), int(after[1]))
             hits = self.searcher.search(req["query"], int(req.get("k", 10)),
                                         req.get("mode", "or"),
-                                        req.get("method", "auto"),
                                         req.get("filter_id"),
                                         req.get("exclude"), after)
         rows = [{"rank": i, "doc_id": h.doc_id, "score": round(h.score, 6)}
@@ -154,7 +153,7 @@ class ServeState:
         qs = [{"query_text": _qt(q),
                "k": int(q.get("k", 10)),
                "mode": q.get("mode", "or")} for q in req["queries"]]
-        bulk = self.searcher.search_many(qs, req.get("method", "auto"))
+        bulk = self.searcher.search_many(qs)
         return {"results": [
             [{"rank": i, "doc_id": h.doc_id, "score": round(h.score, 6)}
              for i, h in enumerate(hits, 1)] for hits in bulk]}
@@ -233,8 +232,7 @@ def _route(method: str, path: str, qs: dict, body: dict) -> tuple[dict, int]:
         req["op"] = "search"
         return req, 200
     if method == "POST" and path == "/search_many":
-        return {"op": "search_many", "queries": body["queries"],
-                "method": body.get("method", "auto")}, 200
+        return {"op": "search_many", "queries": body["queries"]}, 200
     if method == "GET" and len(parts) == 2 and parts[0] == "paper":
         return {"op": "fetch", "doc_id": int(parts[1])}, 200
     if method == "GET" and path.startswith("/explain"):

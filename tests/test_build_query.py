@@ -150,8 +150,6 @@ def test_doc_ids_strictly_ascending_in_segments(index_dir):
                 block_first=np.asarray(d["block_first"][i], np.int64),
                 block_doc_off=np.asarray(d["block_doc_off"][i], np.int32),
                 block_tf_off=np.asarray(d["block_tf_off"][i], np.int32),
-                block_max_tf=np.asarray(d["block_max_tf"][i], np.int64),
-                block_min_dl=np.asarray(d["block_min_dl"][i], np.int32),
                 block_last=np.asarray(d["block_last"][i], np.int64))
             ids, _ = decode_postings(enc)
             assert ids.size == d["df"][i]
@@ -165,3 +163,38 @@ def test_salting_spreads_head_terms(index_dir):
     for f in glob.glob(os.path.join(index_dir, "shards", "*", "seg", "*.parquet")):
         salts.update(pq.read_table(f, columns=["salt"])["salt"].to_pylist())
     assert len(salts) > 1
+
+
+def test_segment_schema_and_old_format_refused(index_dir, pages_dir,
+                                               tmp_path):
+    """A fresh build's segment files carry exactly ``SEGMENT_SCHEMA``, and
+    an index whose manifest names an older segment format is refused by
+    the reader, ``extend_index`` and ``compact_index`` alike, each with an
+    error that asks for a rebuild."""
+    import json
+
+    from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.functions.codec import (
+        FORMAT_VERSION,
+    )
+    segs = glob.glob(os.path.join(index_dir, "shards", "*", "seg",
+                                  "*.parquet"))
+    assert segs
+    for f in segs:
+        assert pq.read_schema(f).remove_metadata().equals(
+            build.SEGMENT_SCHEMA), f
+
+    d = str(tmp_path / "old")
+    shutil.copytree(index_dir, d)
+    mpath = os.path.join(d, "manifest.json")
+    with open(mpath) as f:
+        manifest = json.load(f)
+    manifest["format_version"] = FORMAT_VERSION - 1
+    with open(mpath, "w") as f:
+        json.dump(manifest, f)
+    with pytest.raises(ValueError, match="rebuild required"):
+        query.IndexReader(d)
+    with pytest.raises(ValueError, match="rebuild required"):
+        build.extend_index(pages_dir, d)
+    with pytest.raises(ValueError, match="rebuild required"):
+        build.compact_index(d, str(tmp_path / "compacted"))
+    assert not os.path.exists(tmp_path / "compacted")

@@ -63,14 +63,6 @@ def test_block_invariants(encoded):
         assert (b_ids == ids[lo:hi]).all()
         assert b_ids[0] == enc.block_first[bi] and b_ids[-1] == enc.block_last[bi]
         assert (np.diff(b_ids) > 0).all(), "doc_ids strictly ascending"
-        assert enc.block_max_tf[bi] == tfs[lo:hi].max()
-        assert enc.block_min_dl[bi] == dls[lo:hi].min()
-        # derived bound covers every true tf_norm for ANY avg_dl (extend-safe)
-        for avg_dl in (10.0, 100.0, 1000.0):
-            tfn = bm25.tf_norm_vec(tfs[lo:hi], dls[lo:hi], avg_dl)
-            bound = bm25.tf_norm(int(enc.block_max_tf[bi]),
-                                 int(enc.block_min_dl[bi]), avg_dl)
-            assert bound * (1 + 1e-12) >= tfn.max()
 
 
 def test_empty_postings():
@@ -81,7 +73,7 @@ def test_empty_postings():
 
 
 def test_block_ub_dominates_scores_without_margin():
-    """The WAND block bound idf*tf_norm(max_tf, min_dl) must be >= every
+    """A block bound idf*tf_norm(max_tf, min_dl) must be >= every
     posting's idf*tf_norm(tf, dl) EXACTLY in float64 — query.py prunes
     with no safety margin (ties must compare equal, not above), relying
     on (a) identical formula + dtype on both sides, (b) integer tf/dl
@@ -129,8 +121,8 @@ def test_impact_frontier_exact_minimal(encoded):
         fd = enc.imp_dl[off[bi]:off[bi + 1]]
         assert ft.size >= 1
         assert (np.diff(ft) < 0).all() and (np.diff(fd) < 0).all()
-        assert ft[0] == enc.block_max_tf[bi]
-        assert fd[-1] == enc.block_min_dl[bi]
+        assert ft[0] == tfs[lo:hi].max()
+        assert fd[-1] == dls[lo:hi].min()
         # every frontier pair is a REAL doc's (tf, dl) in this block
         real = set(zip(tfs[lo:hi].tolist(), dls[lo:hi].tolist()))
         assert set(zip(ft.tolist(), fd.tolist())) <= real
@@ -184,16 +176,18 @@ def test_expand_dl_lower_bounds_roundtrip():
         nb = e.block_first.size
         sizes = np.full(nb, codec.BLOCK_SIZE, np.int64)
         sizes[-1] = n - (nb - 1) * codec.BLOCK_SIZE
+        starts = np.arange(0, n, codec.BLOCK_SIZE)
+        block_min_dl = np.minimum.reduceat(dls, starts)
         dl2 = codec.expand_dl_lower_bounds(tfs, e.imp_tf, e.imp_dl,
                                            e.imp_n, sizes)
         assert (dl2 <= dls).all()
-        assert (dl2 >= np.repeat(e.block_min_dl.astype(np.int64),
-                                 sizes)).all()
+        assert (dl2 >= np.repeat(block_min_dl, sizes)).all()
         e2 = codec.encode_postings(ids, tfs, dl2)
         assert np.array_equal(e2.imp_tf, e.imp_tf)
         assert np.array_equal(e2.imp_dl, e.imp_dl)
         assert np.array_equal(e2.imp_n, e.imp_n)
-        assert np.array_equal(e2.block_min_dl, e.block_min_dl)
+        assert np.array_equal(np.minimum.reduceat(dl2, starts),
+                              block_min_dl)
         assert e2.doc_bytes == e.doc_bytes and e2.tf_bytes == e.tf_bytes
 
 

@@ -147,7 +147,7 @@ def _synthetic_groups(rng, n_groups=60, overlap=True):
     import pyarrow as pa
     cols = {k: [] for k in
             ("sid term salt df doc_bytes tf_bytes block_first block_last "
-             "block_doc_off block_tf_off block_max_tf block_min_dl "
+             "block_doc_off block_tf_off "
              "pos_bytes block_pos_off imp_tf imp_dl imp_n").split()}
     for g in range(n_groups):
         k = rng.randint(1, 4)
@@ -173,8 +173,6 @@ def _synthetic_groups(rng, n_groups=60, overlap=True):
             cols["block_last"].append(e.block_last.tolist())
             cols["block_doc_off"].append(e.block_doc_off.tolist())
             cols["block_tf_off"].append(e.block_tf_off.tolist())
-            cols["block_max_tf"].append(e.block_max_tf.tolist())
-            cols["block_min_dl"].append(e.block_min_dl.tolist())
             cols["pos_bytes"].append(b"")
             cols["block_pos_off"].append([0] * len(e.block_first))
             cols["imp_tf"].append(e.imp_tf.tolist())
@@ -192,8 +190,6 @@ def _synthetic_groups(rng, n_groups=60, overlap=True):
         "block_doc_off": pa.array(cols["block_doc_off"],
                                   pa.list_(pa.int32())),
         "block_tf_off": pa.array(cols["block_tf_off"], pa.list_(pa.int32())),
-        "block_max_tf": pa.array(cols["block_max_tf"], pa.list_(pa.int64())),
-        "block_min_dl": pa.array(cols["block_min_dl"], pa.list_(pa.int32())),
         "pos_bytes": pa.array(cols["pos_bytes"], pa.binary()),
         "block_pos_off": pa.array(cols["block_pos_off"],
                                   pa.list_(pa.int32())),
@@ -269,10 +265,6 @@ def test_merge_groups_batched_rejects_duplicate_ids():
         "block_doc_off": pa.array([e.block_doc_off.tolist()] * 2,
                                   pa.list_(pa.int32())),
         "block_tf_off": pa.array([e.block_tf_off.tolist()] * 2,
-                                 pa.list_(pa.int32())),
-        "block_max_tf": pa.array([e.block_max_tf.tolist()] * 2,
-                                 pa.list_(pa.int64())),
-        "block_min_dl": pa.array([e.block_min_dl.tolist()] * 2,
                                  pa.list_(pa.int32())),
         "pos_bytes": pa.array([b"", b""], pa.binary()),
         "block_pos_off": pa.array([[0], [0]], pa.list_(pa.int32())),

@@ -55,7 +55,10 @@ def test_primitives_on_mock_fs():
     os.unlink(local)
 
 
-def test_index_lifecycle_on_mock_fs(ray_session, tmp_path):
+@pytest.mark.parametrize("scheme", ["mock", "file"])
+def test_index_lifecycle_on_mock_fs(ray_session, tmp_path, scheme):
+    """Build, extend, delete, compact and serve with ``index_dir`` as a
+    ``mock://`` URI (the fake remote) and as a ``file://`` URI."""
     import importlib
 
     pkg = ("scalable_academic_paper_search_via_distributed_processing_"
@@ -63,11 +66,13 @@ def test_index_lifecycle_on_mock_fs(ray_session, tmp_path):
     pages = importlib.import_module(pkg + ".sources.pages")
     build = importlib.import_module(pkg + ".pipelines.build")
     query = importlib.import_module(pkg + ".pipelines.query")
+    serve_front = importlib.import_module(pkg + ".pipelines.serve_front")
 
     pdir = pages.ensure_pages_parquet("/root/testdata/sf0.001", num_files=6)
     files = sorted(os.path.join(pdir, f) for f in os.listdir(pdir)
                    if f.endswith(".parquet"))
-    uri = f"{MOCK}/idx"
+    root = MOCK if scheme == "mock" else f"file://{tmp_path}"
+    uri = f"{root}/idx"
     local = str(tmp_path / "idx_local")
 
     # build half remotely and locally, extend both with the rest
@@ -93,7 +98,7 @@ def test_index_lifecycle_on_mock_fs(ray_session, tmp_path):
                r_uri.search_wand("spark data join", 10)][:3]
     build.delete_docs(uri, victims)
     assert query.fetch_doc(uri, victims[0]) is None
-    curi = f"{MOCK}/idx_compact"
+    curi = f"{root}/idx_compact"
     build.compact_index(uri, curi, target_shards=1)
     rc = query.IndexReader(curi)
     for q in pages.QUERY_SET:
@@ -103,14 +108,30 @@ def test_index_lifecycle_on_mock_fs(ray_session, tmp_path):
     surviving = [h.doc_id for h in rc.search_wand("spark data join", 5)]
     assert surviving and query.fetch_doc(curi, surviving[0]) is not None
 
+    # serve the compacted index: snippet search through the shard actors
+    st = serve_front.ServeState(curi, num_actors=2)
+    try:
+        resp, _ = st.handle({"op": "search", "query": "spark data join",
+                             "k": 10, "snippets": True})
+    finally:
+        st.shutdown()
+    rows = resp["results"]
+    assert [r["doc_id"] for r in rows][:5] == surviving
+    assert not set(victims) & {r["doc_id"] for r in rows}
+    assert all("snippet" in r for r in rows)
+
     # no call site bypassed the seam: a raw os.* on the URI string would
-    # have created a literal "mock:" directory somewhere local
-    assert not os.path.exists("mock:")
-    assert not os.path.exists(os.path.join(os.getcwd(), "mock:"))
-    # the shadow root actually holds the index (it IS the fake remote)
-    shadow = os.path.join(fsio.MOCK_ROOT, "fsio-test", "idx",
-                          "manifest.json")
-    assert os.path.exists(shadow)
+    # have created a literal "mock:"/"file:" directory somewhere local
+    for bad in ("mock:", "file:"):
+        assert not os.path.exists(bad)
+        assert not os.path.exists(os.path.join(os.getcwd(), bad))
+    if scheme == "mock":
+        # the shadow root actually holds the index (it IS the fake remote)
+        shadow = os.path.join(fsio.MOCK_ROOT, "fsio-test", "idx",
+                              "manifest.json")
+        assert os.path.exists(shadow)
+    else:
+        assert os.path.exists(tmp_path / "idx_compact" / "manifest.json")
 
 
 def test_ivf_index_on_mock_fs(ray_session):

@@ -194,18 +194,6 @@ def test_slop_matches_bruteforce(pos_reader, docs_tokens, phrase, slop):
     assert got == want, f"{phrase!r} slop={slop}"
 
 
-def test_slop_zero_equals_exact(pos_reader):
-    for phrase in ["sort merge", "spark data join", "batch batch"]:
-        a = [(r.doc_id, round(r.score, 6))
-             for r in pos_reader.search_phrase(phrase, 50, slop=0)]
-        b_docs = pos_reader._phrase_matched_slop(
-            list(tokenize_filtered(phrase)), 0)
-        a_exact = pos_reader._phrase_matched_exact(
-            list(tokenize_filtered(phrase)))
-        np.testing.assert_array_equal(b_docs, a_exact)
-        assert len(a) == len(a_exact) or len(a) == 50
-
-
 def test_slop_widens_monotonically(pos_reader):
     sizes = [len(pos_reader.search_phrase("sort merge", 10_000, slop=s))
              for s in (0, 1, 3, 8)]

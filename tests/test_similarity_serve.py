@@ -96,8 +96,7 @@ def test_distributed_searcher_matches_local(ray_session, index_dir):
             want = [(r.doc_id, round(r.score, 6))
                     for r in local.search_wand(q["query_text"], q["k"], q["mode"])]
             got = [(r.doc_id, round(r.score, 6))
-                   for r in dist.search(q["query_text"], q["k"], q["mode"],
-                                        method="wand")]
+                   for r in dist.search(q["query_text"], q["k"], q["mode"])]
             assert got == want, f"distributed != local for q{q['query_id']}"
     finally:
         dist.shutdown()
@@ -227,8 +226,7 @@ def test_distributed_filtered_search(ray_session, index_dir):
             want = [(r.doc_id, round(r.score, 6))
                     for r in local.search_wand(qtext, 10, mask=mask)]
             got = [(r.doc_id, round(r.score, 6))
-                   for r in dist.search(qtext, 10, method="wand",
-                                        filter_id="every3rd")]
+                   for r in dist.search(qtext, 10, filter_id="every3rd")]
             assert got == want
         with _pytest.raises(Exception):
             dist.search("spark", 10, filter_id="nope")

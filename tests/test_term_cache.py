@@ -146,9 +146,9 @@ def test_hot_query_never_redecoded(ray_session, index_dir, monkeypatch):
 
 
 def test_warm_equals_cold_under_eviction(ray_session, index_dir):
-    """AND mode, a metadata mask, NOT terms, the search-after cursor and
-    the warm WAND slicing all return exactly what a budget-0 reader
-    returns while the cache evicts underneath them."""
+    """AND mode, a metadata mask, NOT terms and the search-after cursor,
+    under both scorers, return exactly what a budget-0 reader returns
+    while the cache evicts underneath them."""
     cold = query.IndexReader(index_dir)
     warm = query.IndexReader(index_dir, cache_postings_budget=2000)
     mask_w = warm.make_doc_mask(warm._doc_ids[::2])
