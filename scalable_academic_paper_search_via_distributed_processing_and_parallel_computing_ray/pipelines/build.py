@@ -13,8 +13,8 @@ Physical plan (SURVEY.md §7.3), ONE Dataset pipeline per build wave:
     -> map_batches(ExtractDocs)                   [CPU-bound, tags sid]
     -> map_batches(DocsCheckpointWriter)           [docs/ checkpoint tee]
     -> map_batches(PartialPostingsBuilder)
-    -> groupby(sid, term, salt)                    [THE shuffle]
-    -> map_groups(merge_postings)
+    -> sort(sid, term, salt)                       [THE shuffle]
+    -> map_batches(merge_postings_block)           [whole sorted block]
     -> write_parquet(seg/, partition_cols=[sid])   [segment checkpoint]
   global :  N, avg_dl from the docs doc_len column (column-pruned read)
 
@@ -73,6 +73,13 @@ DOCS_ROW_GROUP = 1024
 # tasks x 67 files).  32 stays well above the one-row-per-group
 # metadata floor that motivated coalescing in the first place.
 SEG_ROW_GROUP = 32
+
+# 128 KiB payload -> ~1.5 MB of decode temporaries: stays inside a worker's
+# PRIVATE cache.  Measured on the x4096 1%-purge at 32-way concurrency:
+# 2 MiB chunks thrash the SHARED cache and inflate the merge-task work sum
+# 4.1x over the 8-way run (496 s vs 121 s); 128 KiB holds the inflation to
+# 4% and the 8->32 CPU scaling efficiency at 0.8.
+MERGE_CHUNK_BYTES = 128 << 10
 
 DOCS_SCHEMA = pa.schema([
     ("doc_id", pa.int64()),
@@ -149,8 +156,10 @@ def _encode_group(sid: int, term: str, salt: int, doc: np.ndarray,
     """Doc-sort one (sid, term, salt) group's postings, check their ids are
     distinct, and encode them as one segment-table row (with ``sid``).
     ``flat_pos``: flattened per-posting positions (posting i owns ``tf[i]``
-    entries) or None/empty when the group has none.  Shared by the build's
-    :func:`merge_postings` and compaction's :func:`merge_segment_rows`."""
+    entries) or None/empty when the group has none.  The per-group encoder
+    for groups carrying positions: the build's
+    :func:`merge_postings_block` and compaction's
+    :func:`merge_segment_rows` route them here."""
     order = np.argsort(doc, kind="stable")
     poss_sorted = None
     if flat_pos is not None and flat_pos.size:
@@ -192,19 +201,141 @@ def _flat(group: pa.Table, col: str) -> np.ndarray:
     return pc.list_flatten(group[col]).to_numpy(zero_copy_only=False)
 
 
+def _chunk_runs(idx: np.ndarray, nbytes: np.ndarray,
+                chunk_bytes: int) -> list[np.ndarray]:
+    """Split the group indices ``idx`` (kept in order) into runs of whole
+    groups, cutting where the running payload (``nbytes``, one per entry
+    of ``idx``) crosses each multiple of ``chunk_bytes``."""
+    cuts = np.searchsorted(np.cumsum(nbytes), np.arange(
+        chunk_bytes, int(nbytes.sum()), chunk_bytes), side="left") + 1
+    return [p for p in np.split(idx, np.unique(cuts[cuts < idx.size]))
+            if p.size]
+
+
+def _segment_rows(meta: pa.Table, gsizes: np.ndarray, enc: dict) -> pa.Table:
+    """Segment-table rows (with ``sid``) for the groups that ONE
+    :func:`encode_postings_multi` call encoded: ``meta`` holds each
+    group's ``sid``/``term``/``salt`` in encode order, every other column
+    is assembled zero-copy from the encoder's flat buffers.  No positional
+    stream (``pos_bytes`` empty, per-block zero ``block_pos_off``, as
+    :func:`encode_postings` writes without positions).  Shared by the
+    build's :func:`merge_postings_block` and compaction's
+    :func:`_merge_groups_chunk`."""
+    if enc["doc_offsets"][-1] >= (1 << 31) or enc["tf_offsets"][-1] >= (1 << 31):
+        raise ValueError("batched merge output exceeds 2 GiB binary column")
+    M = gsizes.size
+
+    def _bin(buf: np.ndarray, offsets: np.ndarray) -> pa.Array:
+        return pa.Array.from_buffers(
+            pa.binary(), M,
+            [None, pa.py_buffer(offsets.astype(np.int32)),
+             pa.py_buffer(buf)])
+
+    loff = np.concatenate(([0], np.cumsum(enc["nblocks"]))).astype(np.int32)
+
+    def _lst(values: np.ndarray, typ) -> pa.Array:
+        return pa.ListArray.from_arrays(
+            pa.array(loff, pa.int32()), pa.array(values, typ))
+
+    return pa.table({
+        "sid": meta["sid"],
+        "term": meta["term"],
+        "salt": meta["salt"],
+        "df": pa.array(gsizes, pa.int64()),
+        "doc_bytes": _bin(enc["doc_bytes"], enc["doc_offsets"]),
+        "tf_bytes": _bin(enc["tf_bytes"], enc["tf_offsets"]),
+        "block_first": _lst(enc["block_first"], pa.int64()),
+        "block_last": _lst(enc["block_last"], pa.int64()),
+        "block_doc_off": _lst(enc["block_doc_off"], pa.int32()),
+        "block_tf_off": _lst(enc["block_tf_off"], pa.int32()),
+        "pos_bytes": _bin(np.zeros(0, np.uint8),
+                          np.zeros(M + 1, np.int64)),
+        "block_pos_off": _lst(np.zeros(int(loff[-1]), np.int32),
+                              pa.int32()),
+        # impact pairs: their own ragged offsets (pairs per segment), not
+        # the block-count offsets the other list columns share
+        "imp_tf": pa.ListArray.from_arrays(
+            pa.array(enc["imp_offsets"].astype(np.int32), pa.int32()),
+            pa.array(enc["imp_tf"], pa.int64())),
+        "imp_dl": pa.ListArray.from_arrays(
+            pa.array(enc["imp_offsets"].astype(np.int32), pa.int32()),
+            pa.array(enc["imp_dl"], pa.int32())),
+        "imp_n": _lst(enc["imp_n"], pa.int32()),
+    })
+
+
+_DEDUP_HINT = "run dedup (stages/dedup.py) before indexing"
+
+
+def merge_postings_block(block: pa.Table,
+                         chunk_bytes: int = MERGE_CHUNK_BYTES) -> pa.Table:
+    """Merge every (sid, term, salt) group of one block of partial
+    postings into segment-table rows (with ``sid``), one row per group in
+    block order.  The block must hold whole groups, sorted by the key —
+    what the build's range-partitioned sort delivers.
+
+    One flat pass per block instead of one Python call per group: flatten
+    the postings, lexsort on (group, doc_id), check for duplicate ids over
+    the whole block, then encode runs of whole groups holding
+    ~``chunk_bytes`` of (doc, tf, dl) input with one
+    :func:`encode_postings_multi` call each (the chunking
+    :func:`merge_groups_batched` uses, so temporaries stay cache-sized).
+    Groups carrying positions go through :func:`_encode_group` one at a
+    time.  Needs NO global state (the avg_dl-dependent bound is derived
+    at read time), so segment shards stay valid when the index is later
+    extended."""
+    n = block.num_rows
+    if n == 0:
+        return pa.schema([("sid", pa.int32()), *SEGMENT_SCHEMA]).empty_table()
+    sids = block["sid"].to_numpy(zero_copy_only=False)
+    terms = block["term"].to_numpy(zero_copy_only=False)
+    salts = block["salt"].to_numpy(zero_copy_only=False)
+    change = np.ones(n, dtype=bool)
+    change[1:] = ((sids[1:] != sids[:-1]) | (terms[1:] != terms[:-1])
+                  | (salts[1:] != salts[:-1]))
+    starts = np.flatnonzero(change)
+    lens = pc.list_value_length(block["doc_ids"]).to_numpy(
+        zero_copy_only=False).astype(np.int64)
+    grp = np.repeat(np.cumsum(change) - 1, lens)
+    doc = _flat(block, "doc_ids").astype(np.int64)
+    tf = _flat(block, "tfs").astype(np.int64)
+    dl = _flat(block, "dls").astype(np.int64)
+    gsizes = np.bincount(grp, minlength=starts.size).astype(np.int64)
+    post_at = np.concatenate(([0], np.cumsum(gsizes)))
+    pos = (_flat(block, "poss").astype(np.int64)
+           if "poss" in block.column_names else np.zeros(0, np.int64))
+    if pos.size:
+        # positional groups keep the per-group encoder; positions follow
+        # their posting's [start, start + tf) slice of the flat stream
+        pos_at = np.concatenate(([0], np.cumsum(tf)))
+        return pa.concat_tables([
+            _encode_group(
+                int(sids[s]), terms[s], int(salts[s]), doc[a:b], tf[a:b],
+                dl[a:b], pos[pos_at[a]:pos_at[b]], _DEDUP_HINT)
+            for s, a, b in zip(starts, post_at[:-1], post_at[1:])])
+    order = np.lexsort((doc, grp))
+    doc, tf, dl, grp = doc[order], tf[order], dl[order], grp[order]
+    dup = (np.diff(doc) == 0) & (np.diff(grp) == 0)
+    if dup.any():
+        term = terms[starts[grp[np.argmax(dup)]]]
+        raise ValueError(f"duplicate doc_id for term={term!r}; {_DEDUP_HINT}")
+    meta = block.select(["sid", "term", "salt"]).take(
+        pa.array(starts, pa.int64()))
+    per_posting = doc.itemsize + tf.itemsize + dl.itemsize
+    outs = []
+    for p in _chunk_runs(np.arange(starts.size), gsizes * per_posting,
+                         chunk_bytes):
+        a, b = post_at[p[0]], post_at[p[-1] + 1]
+        outs.append(_segment_rows(
+            meta.slice(p[0], p.size), gsizes[p],
+            encode_postings_multi(doc[a:b], tf[a:b], dl[a:b], gsizes[p])))
+    return pa.concat_tables(outs)
+
+
 def merge_postings(group: pa.Table) -> pa.Table:
-    """Per-(sid, term, salt) merge: k-way concat of sorted partial lists ->
-    delta+varint encoded postings row with per-block raw (tf, dl) impact
-    frontiers.  Needs NO global state (the avg_dl-dependent bound is
-    derived at read time), so segment shards stay valid when the index is
-    later extended."""
-    return _encode_group(
-        group["sid"][0].as_py(), group["term"][0].as_py(),
-        group["salt"][0].as_py(), _flat(group, "doc_ids"),
-        _flat(group, "tfs"), _flat(group, "dls"),
-        _flat(group, "poss").astype(np.int64)
-        if "poss" in group.column_names else None,
-        "run dedup (stages/dedup.py) before indexing")
+    """One (sid, term, salt) group of partial postings -> its segment-table
+    row: :func:`merge_postings_block` on a one-group block."""
+    return merge_postings_block(group)
 
 
 class DocsCheckpointWriter:
@@ -336,7 +467,8 @@ def _fused_wave(index_dir: str, shard_map: dict[int, list[str]],
                 seg_dir_for: dict[int, str]) -> None:
     """ONE pipeline for the pending shards: read pages -> extract -> docs
     checkpoint tee (:class:`DocsCheckpointWriter`) -> partial postings ->
-    salted (sid, term, salt) shuffle -> encoded segments.  Publishes docs
+    salted (sid, term, salt) sort -> one :func:`merge_postings_block` per
+    sorted block -> encoded segments.  Publishes docs
     dirs first, then segment dirs, replacing whatever a shard held; the
     done-markers stamp only after both, so a crash anywhere re-runs the
     whole wave (the wave is the unit of loss — SCALE.md)."""
@@ -352,8 +484,8 @@ def _fused_wave(index_dir: str, shard_map: dict[int, list[str]],
     fsio.rmtree(docs_tmp, ignore_errors=True)
     fsio.rmtree(seg_tmp, ignore_errors=True)
 
-    # Block-count discipline: the sort-based groupby emits one partition
-    # per input block, so the merge width is decided HERE, at the read —
+    # Block-count discipline: the merge sort emits one partition per
+    # input block, so the merge width is decided HERE, at the read —
     # where changing it is free — not by repartitioning the heavy partial
     # postings afterwards (measured x256: that extra all-to-all cost ~40%
     # wall at 8 CPUs while Ray's default ~200-task parallelism floor made
@@ -403,19 +535,25 @@ def _fused_wave(index_dir: str, shard_map: dict[int, list[str]],
                                head_df_frac=params.head_df_frac,
                                positions=params.positions),
         batch_format="pyarrow", batch_size=params.postings_batch_size)
-    # shard id is part of the shuffle key: ONE all-to-all covers every
-    # pending shard (doc sets are disjoint across shards)
-    segs = partials.groupby(["sid", "term", "salt"]).map_groups(
-        merge_postings, batch_format="pyarrow")
-    # coalesce one-row map_groups blocks before the write (row-group
-    # metadata floor)
+    # shard id is part of the sort key: ONE all-to-all covers every
+    # pending shard (doc sets are disjoint across shards).  The sort
+    # range-partitions on the whole key, so every row of a group lands in
+    # one output block (the guarantee groupby().map_groups() rests on; it
+    # runs this same sort), and each block merges in one vectorized call
+    # rather than one Python call per group.
+    segs = partials.sort(["sid", "term", "salt"]).map_batches(
+        merge_postings_block, batch_format="pyarrow", batch_size=None)
+    # re-batch to SEG_ROW_GROUP rows: the writer emits one row group per
+    # batch, and a query's per-term read decompresses a whole row group
     segs = segs.map_batches(lambda b: b, batch_format="pyarrow",
                             batch_size=SEG_ROW_GROUP)
     _fs, _p = fsio.ray_fs_path(seg_tmp)
     segs.write_parquet(_p, partition_cols=["sid"], filesystem=_fs)
-    if os.environ.get("GRAFT_BUILD_STATS"):
-        print("=== fused wave stats ===\n", segs.stats())
     wave = round(time.time() - t0, 3)
+    # per-operator wall times ride the shard record next to
+    # fused_wave_secs: "which build stage is slow" without a profiler
+    # (~1 ms to render)
+    wave_ops = _operator_wall_times(segs.stats())
     _publish_partitions(docs_tmp, pending, docs_dir_for, DOCS_SCHEMA)
     _publish_partitions(seg_tmp, pending, seg_dir_for, SEGMENT_SCHEMA)
     ts = time.time()
@@ -434,11 +572,26 @@ def _fused_wave(index_dir: str, shard_map: dict[int, list[str]],
             n_term_shards=n_rows, n_postings=n_post, seg_bytes=seg_bytes,
             bytes_per_posting=round(seg_bytes / max(1, n_post), 3),
             format_version=FORMAT_VERSION, positions=params.positions,
-            doc_id_mode=params.doc_id_mode, fused_wave_secs=wave)
+            doc_id_mode=params.doc_id_mode, fused_wave_secs=wave,
+            wave_operators=wave_ops)
         ckpt.mark_done(docs_dir_for[sid])
         ckpt.mark_done(seg_dir_for[sid])
     ckpt.update_shard_record(index_dir, pending[0],
                              wave_stats_secs=round(time.time() - ts, 3))
+
+
+def _operator_wall_times(stats: str) -> list[str]:
+    """One line per operator (and sort sub-operator) of a
+    ``Dataset.stats()`` dump: its header — tasks, blocks, wall time —
+    with its summed remote wall time appended."""
+    out: list[str] = []
+    for ln in stats.splitlines():
+        ln = ln.strip()
+        if ln.startswith(("Operator ", "Suboperator ")):
+            out.append(ln)
+        elif ln.startswith("* Remote wall time:") and out:
+            out[-1] += "; remote wall " + ln.rsplit(",", 1)[-1].strip()
+    return out
 
 
 def _seg_stats(seg_dir: str) -> tuple[int, int, int]:
@@ -1015,14 +1168,6 @@ def _binary_col_flat(col: pa.ChunkedArray) -> np.ndarray:
     return np.frombuffer(arr.buffers()[2], dtype=np.uint8)[offs[0]:offs[-1]]
 
 
-# 128 KiB payload -> ~1.5 MB of decode temporaries: stays inside a worker's
-# PRIVATE cache.  Measured on the x4096 1%-purge at 32-way concurrency:
-# 2 MiB chunks thrash the SHARED cache and inflate the merge-task work sum
-# 4.1x over the 8-way run (496 s vs 121 s); 128 KiB holds the inflation to
-# 4% and the 8->32 CPU scaling efficiency at 0.8.
-MERGE_CHUNK_BYTES = 128 << 10
-
-
 def merge_groups_batched(t: pa.Table, starts: np.ndarray, ends: np.ndarray,
                          merge_idx: np.ndarray,
                          tombstones: np.ndarray | None,
@@ -1047,13 +1192,10 @@ def merge_groups_batched(t: pa.Table, starts: np.ndarray, ends: np.ndarray,
                  + pc.binary_length(t["tf_bytes"]).to_numpy(
                      zero_copy_only=False).astype(np.int64))
         group_bytes = np.add.reduceat(row_b, starts)
-    gb = np.asarray(group_bytes, dtype=np.int64)[merge_idx]
-    # cut chunk boundaries where the running payload crosses chunk_bytes
-    cuts = np.searchsorted(np.cumsum(gb), np.arange(
-        chunk_bytes, int(gb.sum()), chunk_bytes), side="left") + 1
-    pieces = np.split(merge_idx, np.unique(cuts[cuts < merge_idx.size]))
     outs = [_merge_groups_chunk(t, starts, ends, p, tombstones)
-            for p in pieces if p.size]
+            for p in _chunk_runs(
+                merge_idx, np.asarray(group_bytes, dtype=np.int64)[merge_idx],
+                chunk_bytes)]
     return pa.concat_tables(outs, promote_options="default") if outs \
         else t.slice(0, 0)
 
@@ -1155,50 +1297,10 @@ def _merge_groups_chunk(t: pa.Table, starts: np.ndarray, ends: np.ndarray,
                 "must hold disjoint doc sets")
 
     gsizes = np.bincount(grp, minlength=merge_idx.size).astype(np.int64)
-    enc = encode_postings_multi(ids, tfs, dl, gsizes)
-    if enc["doc_offsets"][-1] >= (1 << 31) or enc["tf_offsets"][-1] >= (1 << 31):
-        raise ValueError("batched merge output exceeds 2 GiB binary column")
-    M = merge_idx.size
-    meta = t.take(pa.array(starts[merge_idx].astype(np.int64), pa.int64()))
-
-    def _bin(buf: np.ndarray, offsets: np.ndarray) -> pa.Array:
-        return pa.Array.from_buffers(
-            pa.binary(), M,
-            [None, pa.py_buffer(offsets.astype(np.int32)),
-             pa.py_buffer(buf)])
-
-    loff = np.concatenate(([0], np.cumsum(enc["nblocks"]))).astype(np.int32)
-
-    def _lst(values: np.ndarray, typ) -> pa.Array:
-        return pa.ListArray.from_arrays(
-            pa.array(loff, pa.int32()), pa.array(values, typ))
-
-    out = pa.table({
-        "sid": meta["sid"],
-        "term": meta["term"],
-        "salt": meta["salt"],
-        "df": pa.array(gsizes, pa.int64()),
-        "doc_bytes": _bin(enc["doc_bytes"], enc["doc_offsets"]),
-        "tf_bytes": _bin(enc["tf_bytes"], enc["tf_offsets"]),
-        "block_first": _lst(enc["block_first"], pa.int64()),
-        "block_last": _lst(enc["block_last"], pa.int64()),
-        "block_doc_off": _lst(enc["block_doc_off"], pa.int32()),
-        "block_tf_off": _lst(enc["block_tf_off"], pa.int32()),
-        "pos_bytes": _bin(np.zeros(0, np.uint8),
-                          np.zeros(M + 1, np.int64)),
-        # no positions: per-block zero offsets, matching encode_postings
-        "block_pos_off": _lst(np.zeros(int(loff[-1]), np.int32),
-                              pa.int32()),
-        # impact pairs: their own ragged offsets (pairs per segment), not
-        # the block-count offsets the other list columns share
-        "imp_tf": pa.ListArray.from_arrays(
-            pa.array(enc["imp_offsets"].astype(np.int32), pa.int32()),
-            pa.array(enc["imp_tf"], pa.int64())),
-        "imp_dl": pa.ListArray.from_arrays(
-            pa.array(enc["imp_offsets"].astype(np.int32), pa.int32()),
-            pa.array(enc["imp_dl"], pa.int32())),
-        "imp_n": _lst(enc["imp_n"], pa.int32()),
-    })
+    out = _segment_rows(
+        t.select(["sid", "term", "salt"]).take(
+            pa.array(starts[merge_idx].astype(np.int64), pa.int64())),
+        gsizes, encode_postings_multi(ids, tfs, dl, gsizes))
     if (gsizes == 0).any():  # fully-deleted groups drop their row
         out = out.filter(pa.array(gsizes > 0))
     return out

@@ -198,3 +198,99 @@ def test_segment_schema_and_old_format_refused(index_dir, pages_dir,
     with pytest.raises(ValueError, match="rebuild required"):
         build.compact_index(d, str(tmp_path / "compacted"))
     assert not os.path.exists(tmp_path / "compacted")
+
+
+def _sorted_partials(pages_dir, positions):
+    """Partial postings of the fixture pages split over two shards, made
+    from several reversed-order batches so most groups span several
+    partial rows whose doc ranges arrive out of order; sorted by (sid,
+    term, salt) like the build's merge sort."""
+    import numpy as np
+    import pyarrow as pa
+
+    from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.stages import (
+        spimi,
+    )
+    pages = pq.read_table(pages_dir, columns=["doc_id", "url", "html"])
+    docs = spimi.ExtractDocs()(pages)
+    docs = docs.append_column(
+        "sid", pa.array(docs["doc_id"].to_numpy() % 2, pa.int32()))
+    pb = spimi.PartialPostingsBuilder(num_salts=4, positions=positions)
+    step = max(1, docs.num_rows // 5)
+    parts = [pb(docs.slice(a, step))
+             for a in reversed(range(0, docs.num_rows, step))]
+    t = pa.concat_tables(parts).sort_by(
+        [("sid", "ascending"), ("term", "ascending"), ("salt", "ascending")])
+    key = list(zip(t["sid"].to_pylist(), t["term"].to_pylist(),
+                   t["salt"].to_pylist()))
+    starts = [i for i in range(len(key)) if i == 0 or key[i] != key[i - 1]]
+    assert len(starts) < t.num_rows  # some groups have several rows
+    return t, np.array(starts + [t.num_rows])
+
+
+@pytest.mark.parametrize("positions", [False, True])
+@pytest.mark.parametrize("chunk_bytes", [64, build.MERGE_CHUNK_BYTES])
+def test_merge_postings_block_equals_per_group(pages_dir, positions,
+                                               chunk_bytes):
+    """One block merge is byte-identical, column for column and row for
+    row, to encoding each (sid, term, salt) group on its own with
+    ``_encode_group`` — with and without positions, and with a chunk size
+    so small that every encode call holds one or two groups (a group split
+    across two calls would come out as two rows)."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    t, cuts = _sorted_partials(pages_dir, positions)
+
+    def flat(g, col):
+        return pc.list_flatten(g[col]).to_numpy(
+            zero_copy_only=False).astype(np.int64)
+
+    ref = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        g = t.slice(a, b - a)
+        ref.append(build._encode_group(
+            g["sid"][0].as_py(), g["term"][0].as_py(), g["salt"][0].as_py(),
+            flat(g, "doc_ids"), flat(g, "tfs"), flat(g, "dls"),
+            flat(g, "poss"), "dedup"))
+    ref = pa.concat_tables(ref)
+    out = build.merge_postings_block(t, chunk_bytes=chunk_bytes)
+    assert out.num_rows == ref.num_rows == len(cuts) - 1
+    assert out.schema.equals(ref.schema)
+    for col in ref.column_names:
+        assert out[col].combine_chunks().equals(
+            ref[col].combine_chunks()), col
+    pos_len = pc.binary_length(out["pos_bytes"]).to_numpy()
+    assert bool((pos_len > 0).any()) == positions
+    # the one-group entry point is the same merge
+    g = t.slice(cuts[0], cuts[1] - cuts[0])
+    assert build.merge_postings(g).equals(ref.slice(0, 1))
+    # the sort can hand the merge an empty block
+    assert build.merge_postings_block(t.slice(0, 0)).schema.equals(
+        ref.schema)
+
+
+@pytest.mark.parametrize("positions", [False, True])
+def test_merge_postings_block_rejects_duplicate_doc_ids(pages_dir,
+                                                        positions):
+    """A doc id that appears twice in one group — in two partial rows —
+    fails the merge loudly and points at dedup."""
+    import pyarrow as pa
+    t, cuts = _sorted_partials(pages_dir, positions)
+    g = int(cuts[len(cuts) // 2])
+    bad = pa.concat_tables([t.slice(0, g + 1), t.slice(g, t.num_rows - g)])
+    with pytest.raises(ValueError, match="dedup"):
+        build.merge_postings_block(bad)
+
+
+@pytest.mark.parametrize("fixture", ["index_dir", "pos_index_dir"])
+def test_built_segments_hold_one_row_per_term_salt(fixture, request):
+    """Every shard's ``seg/`` holds exactly one row per (term, salt): the
+    build's sort delivers each group whole to one block merge."""
+    d = request.getfixturevalue(fixture)
+    shards = sorted(glob.glob(os.path.join(d, "shards", "*", "seg")))
+    assert len(shards) == 2
+    for s in shards:
+        t = pq.read_table(s, columns=["term", "salt"])
+        keys = list(zip(t["term"].to_pylist(), t["salt"].to_pylist()))
+        assert keys and len(set(keys)) == len(keys), s

@@ -148,3 +148,64 @@ def test_extend_keeps_current_sidecars(ray_session, pages_dir, tmp_path):
     # and the manifest row count still covers every doc
     mf = query.IndexReader(d)
     assert mf.manifest["docs_idx"]["n_rows"] == mf.n_docs
+
+
+_ONE_CPU_CHILD = """
+import glob, os, sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False, _temp_dir=sys.argv[3])
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from scalable_academic_paper_search_via_distributed_processing_and_parallel_computing_ray.pipelines import build
+files = sorted(glob.glob(os.path.join(sys.argv[1], "*.parquet")))
+half = len(files) // 2
+build.build_index(files[:half], sys.argv[2],
+                  build.BuildParams(num_shards=2, num_salts=4))
+print("n_docs", build.extend_index(files[half:], sys.argv[2])["n_docs"],
+      flush=True)
+ray.shutdown()
+"""
+
+
+def test_build_and_extend_finish_at_one_cpu(pages_dir, index_dir, tmp_path):
+    """At Ray num_cpus=1 the build's sort shuffle and its block merges
+    must share the one CPU: build_index + extend_index finish, in their
+    own Ray session in a child process, under a deadline, and index every
+    page."""
+    import json
+    import shutil
+    import signal
+    import subprocess
+    import sys
+    import tempfile
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # Ray's socket paths must fit in 107 bytes: a short session dir
+    ray_tmp = tempfile.mkdtemp(prefix="rd1", dir="/tmp")
+    env = dict(os.environ, RAY_USAGE_STATS_ENABLED="0",
+               PYTHONPATH=os.pathsep.join(
+                   [root] + ([os.environ["PYTHONPATH"]]
+                             if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_CHILD, pages_dir,
+         str(tmp_path / "idx1cpu"), ray_tmp], cwd=root, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        start_new_session=True, text=True)
+    try:
+        out, _ = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        out = None
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        shutil.rmtree(ray_tmp, ignore_errors=True)
+    assert out is not None, "build + extend did not finish within 180 s"
+    assert proc.returncode == 0, out
+    with open(os.path.join(index_dir, "manifest.json")) as f:
+        want = json.load(f)["n_docs"]
+    assert dict(line.split() for line in out.splitlines()) == \
+        {"n_docs": str(want)}

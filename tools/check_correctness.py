@@ -3,10 +3,14 @@ entry at a given sf dir, run its oracle_sql in DuckDB over the same parquet
 views, compare row count + schema + order-insensitive values.
 
 Usage: python tools/check_correctness.py [sf_dir] [name ...]
+
+Ray gets ``RAY_GRAFT_CPUS`` CPUs (default 8), the variable bench.py reads,
+so a scheduling deadlock that shows only at few CPUs shows here too.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 import warnings
@@ -41,8 +45,9 @@ def main():
 
     import duckdb
     import ray
-    ray.init(address="local", num_cpus=8, include_dashboard=False,
-             logging_level="ERROR")
+    ray.init(address="local",
+             num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "8")),
+             include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
